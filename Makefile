@@ -17,8 +17,9 @@ lint:
 	$(GO) run ./cmd/vbslint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
+# race is the one race-detector package list; CI calls this target.
 race:
-	$(GO) test -race ./internal/server/... ./internal/repo/ ./internal/cluster/ ./internal/chaos/ ./internal/controller/ ./internal/sched/ ./internal/core/ ./internal/devirt/ ./internal/jobs/ ./internal/metrics/ ./internal/transport/
+	$(GO) test -race ./internal/server/... ./internal/repo/ ./internal/cluster/ ./internal/chaos/ ./internal/controller/ ./internal/sched/ ./internal/core/ ./internal/devirt/ ./internal/jobs/ ./internal/metrics/ ./internal/transport/ ./internal/arch/
 
 # bench runs the decode scoreboard benchmarks and refreshes the
 # committed perf baseline BENCH_decode.json (benchmark name -> ns/op,

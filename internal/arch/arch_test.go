@@ -1,6 +1,8 @@
 package arch
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -492,5 +494,37 @@ func BenchmarkComponents(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.Components()
+	}
+}
+
+// TestGraphCacheInterleavedParams: goroutines alternating between two
+// architectures must each get their own switch graph, whatever the
+// one-entry cache in front of the map holds at the time.
+func TestGraphCacheInterleavedParams(t *testing.T) {
+	ps := []Params{{W: 4, K: 3}, {W: 5, K: 6}}
+	want := make([]*graph, len(ps))
+	for i, p := range ps {
+		want[i] = p.buildGraph()
+	}
+	var wg sync.WaitGroup
+	var bad atomic.Int64
+	for gi := 0; gi < 8; gi++ {
+		wg.Add(1)
+		go func(gi int) {
+			defer wg.Done()
+			for k := 0; k < 500; k++ {
+				i := (gi + k) % len(ps)
+				p := ps[i]
+				last := Cond(p.NumConds() - 1)
+				if p.NumSwitches() != len(want[i].switches) ||
+					len(p.Adjacency(last)) != len(want[i].adj[last]) {
+					bad.Add(1)
+				}
+			}
+		}(gi)
+	}
+	wg.Wait()
+	if n := bad.Load(); n > 0 {
+		t.Fatalf("%d lookups returned another architecture's graph", n)
 	}
 }

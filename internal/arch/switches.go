@@ -3,6 +3,7 @@ package arch
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bits"
 )
@@ -69,13 +70,31 @@ type graph struct {
 
 var graphCache sync.Map // Params -> *graph
 
+// lastGraph is a one-entry cache in front of graphCache. A process
+// nearly always works on one architecture, and the seam checks of
+// placement call Switches/Adjacency per conductor: a pointer load and
+// a struct compare there is much cheaper than a sync.Map lookup keyed
+// by an interface.
+var lastGraph atomic.Pointer[paramsGraph]
+
+type paramsGraph struct {
+	p Params
+	g *graph
+}
+
 func (p Params) graph() *graph {
-	if g, ok := graphCache.Load(p); ok {
-		return g.(*graph)
+	if e := lastGraph.Load(); e != nil && e.p == p {
+		return e.g
 	}
-	g := p.buildGraph()
-	actual, _ := graphCache.LoadOrStore(p, g)
-	return actual.(*graph)
+	var g *graph
+	if v, ok := graphCache.Load(p); ok {
+		g = v.(*graph)
+	} else {
+		v, _ := graphCache.LoadOrStore(p, p.buildGraph())
+		g = v.(*graph)
+	}
+	lastGraph.Store(&paramsGraph{p: p, g: g})
+	return g
 }
 
 func (p Params) buildGraph() *graph {

@@ -2,8 +2,8 @@ package chaos
 
 // Invariant conditions: what must hold once the dust settles. The
 // engine polls each condition until it passes or the convergence
-// deadline lapses — convergence (read-repair, health probing) is
-// asynchronous, so a single snapshot would race it.
+// deadline lapses — convergence (read-repair, rebalance passes,
+// health probing) is asynchronous, so a single snapshot would race it.
 
 import (
 	"context"
@@ -33,8 +33,9 @@ type ConditionResult struct {
 }
 
 // StandardConditions returns the invariant set every recipe must
-// leave intact, in checking order: retrieval first (its reads also
-// trigger the repair sweeps replica convergence needs).
+// leave intact, in checking order: retrieval first (a read that has
+// to fail over also verifies the digest's owners and heals a lost
+// primary copy).
 func StandardConditions() []Condition {
 	return []Condition{
 		{"blobs-retrievable", checkBlobsRetrievable},
@@ -69,8 +70,10 @@ func checkBlobsRetrievable(ctx context.Context, e *Env) error {
 
 // checkReplicasConverge: every acked digest sits on min(R, alive)
 // nodes. Reads the gateway's merged /vbs listing, whose Replicas
-// field counts holders; issues a gateway read for any degraded digest
-// so the next poll finds the repair sweep done.
+// field counts holders. For a degraded digest it nudges both healers
+// so the next poll finds the work done: a gateway read (a failover
+// read when the primary lost the copy) and a rebalance kick (which
+// heals a secondary's loss behind a healthy primary).
 func checkReplicasConverge(ctx context.Context, e *Env) error {
 	want := e.Fleet.Replicas
 	if alive := e.Fleet.AliveNodes(); alive < want {
@@ -86,9 +89,8 @@ func checkReplicasConverge(ctx context.Context, e *Env) error {
 	}
 	for d := range e.Work.Acked() {
 		if got := replicas[d]; got < want {
-			// Nudge: a gateway read schedules the owner-verification
-			// sweep that heals the set.
 			_, _ = e.Fleet.Client.GetVBSCtx(ctx, d)
+			_, _ = e.Fleet.Admin.Rebalance(ctx)
 			return fmt.Errorf("digest %.12s on %d node(s), want %d", d, got, want)
 		}
 	}

@@ -47,7 +47,7 @@ func Names() []string {
 func init() {
 	register(Recipe{
 		Name:        "nodekill",
-		Description: "SIGKILL one node under traffic; expect failover, then read-repair back to R replicas after restart",
+		Description: "SIGKILL one node under traffic; expect failover, then a rebalance pass (kicked by the revival) back to R replicas after restart",
 		ErrorBudget: 0.25,
 		Run:         runNodeKill,
 	})
@@ -106,8 +106,9 @@ func victim(ctx context.Context, e *Env) Node {
 func runNodeKill(ctx context.Context, e *Env) error {
 	// A *re*connect is only well-defined for a stream that connected
 	// before the kill, so wait (bounded) until the gateway's stream
-	// pool covers the whole fleet — replication traffic warms it
-	// within the first few loads.
+	// pool covers the whole fleet — the first load of each container
+	// replicates over its secondaries' streams, and batched gets dial
+	// the primaries'.
 	streamsWarm := waitStreamsOpen(ctx, e, len(e.Fleet.Nodes))
 	v := victim(ctx, e)
 	if err := e.KillNode(v); err != nil {
@@ -119,8 +120,9 @@ func runNodeKill(ctx context.Context, e *Env) error {
 	if err := e.RestartNode(v); err != nil {
 		return err
 	}
-	// Post-restart traffic drives the reads whose repair sweeps heal
-	// any replica the dead node missed.
+	// The restart's Down-to-Alive transition kicks a rebalance pass,
+	// which heals any replica the dead node missed; post-restart
+	// traffic runs against the healing fleet.
 	Sleep(ctx, e.Cfg.FaultPhase/2)
 	if streamsWarm {
 		// The kill cut the victim's replication stream mid-flight; the
@@ -133,12 +135,21 @@ func runNodeKill(ctx context.Context, e *Env) error {
 }
 
 // waitStreamsOpen polls the gateway until its stream pool holds at
-// least n live streams, giving up after the fault phase. Returns
-// whether the pool warmed in time.
+// least n live streams, giving up after the fault phase. Each poll
+// first sends a batch of gets over the acked digests: the gateway
+// runs a batch as one stream RPC per owning node, which dials that
+// node's stream. Returns whether the pool warmed in time.
 func waitStreamsOpen(ctx context.Context, e *Env, n int) bool {
 	deadline := time.Now().Add(e.Cfg.FaultPhase)
 	for {
 		mctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		var gets []server.BatchOp
+		for d := range e.Work.Acked() {
+			gets = append(gets, server.BatchOp{Op: "get", Digest: d})
+		}
+		if len(gets) > 0 {
+			_, _ = e.Fleet.Client.BatchCtx(mctx, server.BatchRequest{Ops: gets})
+		}
 		samples, err := e.Fleet.Client.MetricsCtx(mctx)
 		cancel()
 		if err == nil && sampleValue(samples, "vbs_transport_streams_open") >= float64(n) {
@@ -203,7 +214,8 @@ func runCorruptBlob(ctx context.Context, e *Env) error {
 	// is only observable after a restart: kill -9, restart, and let
 	// the boot recovery scan quarantine the bad file. Gateway reads
 	// must keep serving the digest byte-identical from the other
-	// replica throughout, and read-repair must restore R afterwards.
+	// replica throughout, and the rebalance pass the restart kicks (or
+	// a failover read, when the node is the primary) must restore R.
 	if err := e.KillNode(target); err != nil {
 		return err
 	}

@@ -14,8 +14,10 @@ import (
 // handleBatch is the gateway's POST /tasks:batch: ops are partitioned
 // by owning node, sub-batches fan out concurrently (one stream RPC or
 // one HTTP POST per node instead of one per op), and per-op results
-// come back in request order. Loaded blobs are then replicated over
-// the streams exactly like single loads.
+// come back in request order. Freshly admitted blobs are then
+// replicated over the streams exactly like single loads, and a get
+// the routed node could not serve walks the other owners exactly
+// like a single GET.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer g.observeOp("batch", time.Now())
 	var req server.BatchRequest
@@ -52,10 +54,12 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		sb.ops = append(sb.ops, op)
 	}
 	// blobs keeps each load's decoded container for post-placement
-	// replication; nodeOf records where an op was routed; unloads maps
+	// replication; nodeOf records where a load was routed; gets keeps
+	// each get's digest for verification and failover; unloads maps
 	// result index to the gateway task whose mapping must go.
 	blobs := map[int][]byte{}
 	nodeOf := map[int]string{}
+	gets := map[int]repo.Digest{}
 	unloads := map[int]*gwTask{}
 	var topo []nodeFabrics
 
@@ -110,7 +114,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 				results[i] = server.BatchResult{Status: http.StatusServiceUnavailable, Error: "cluster: no node available for get"}
 				continue
 			}
-			nodeOf[i] = own[0]
+			gets[i] = d
 			assign(own[0], i, op)
 		case "unload":
 			g.mu.Lock()
@@ -162,8 +166,9 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Post-pass per op: register placements (and translate fabric
 	// indices to fleet-global), verify relayed get payloads against
-	// their content address, drop unloaded task mappings, and collect
-	// each distinct admitted blob for replication.
+	// their content address, fail unserved gets over, drop unloaded
+	// task mappings, and collect each distinct freshly admitted blob
+	// for replication.
 	type replJob struct {
 		data   []byte
 		holder string
@@ -180,15 +185,21 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
-		if results[i].Status == http.StatusOK && results[i].VBS != "" {
-			data, err := base64.StdEncoding.DecodeString(results[i].VBS)
-			d, perr := repo.ParseDigest(req.Ops[i].Digest)
-			if err != nil || perr != nil || repo.DigestOf(data) != d {
-				results[i] = server.BatchResult{Status: http.StatusBadGateway,
-					Error: fmt.Sprintf("cluster: node %s served corrupt bytes", nodeOf[i])}
+		if d, isGet := gets[i]; isGet {
+			if results[i].Status == http.StatusOK {
+				data, err := base64.StdEncoding.DecodeString(results[i].VBS)
+				if err == nil && repo.DigestOf(data) == d {
+					continue
+				}
+			}
+			// The routed owner missed, failed or served corrupt bytes:
+			// a failover read, the same owner walk as GET /vbs/{digest}.
+			data, code, msg := g.readBlob(r.Context(), d)
+			if code != http.StatusOK {
+				results[i] = server.BatchResult{Status: code, Error: msg}
 				continue
 			}
-			g.scheduleRepair(d, data, nodeOf[i])
+			results[i] = server.BatchResult{Status: http.StatusOK, VBS: base64.StdEncoding.EncodeToString(data)}
 			continue
 		}
 		data, isLoad := blobs[i]
@@ -206,7 +217,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if gi := globalFabric(topo, node, lr.Fabric); gi >= 0 {
 			lr.Fabric = gi
 		}
-		if _, seen := repl[lr.Digest]; !seen {
+		if _, seen := repl[lr.Digest]; lr.Admitted && !seen {
 			repl[lr.Digest] = replJob{data: data, holder: node}
 		}
 	}

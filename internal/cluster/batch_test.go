@@ -181,3 +181,36 @@ func metricValue(t *testing.T, base, name string) float64 {
 	}
 	return 0
 }
+
+// TestGatewayBatchGetFailsOver: a batched get whose routed owner lost
+// the blob walks the other owners like a single GET does, returning
+// 200 with byte-identical data, and heals the lost copy.
+func TestGatewayBatchGetFailsOver(t *testing.T) {
+	c, gw, nodes := newCluster(t, 3, 1, cluster.Options{Replicas: 2})
+	data := makeVBS(t, 61, 6)
+	put, err := c.PutVBS(context.Background(), data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := gw.Ring().Owner(repo.DigestOf(data))
+	for _, n := range nodes {
+		if n.url == primary {
+			if err := n.client.DeleteVBSCtx(t.Context(), put.Digest); err != nil {
+				t.Fatalf("node-local delete: %v", err)
+			}
+		}
+	}
+
+	resp, err := c.BatchCtx(t.Context(), server.BatchRequest{Ops: []server.BatchOp{{Op: "get", Digest: put.Digest}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := resp.Results[0]
+	if r.Status != http.StatusOK {
+		t.Fatalf("batched get after primary loss: status %d (%s), want 200", r.Status, r.Error)
+	}
+	if got, err := base64.StdEncoding.DecodeString(r.VBS); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("batched get served different bytes (err %v)", err)
+	}
+	waitReplicas(t, nodes, put.Digest, 2)
+}

@@ -172,6 +172,9 @@ func New(nodes []string, opts Options) (*Gateway, error) {
 	g.ring.Store(NewRing(nodes, opts.VNodes))
 	g.reg.SetRetry(opts.RetryAttempts, opts.RetryBackoff)
 	g.reb = newRebalancer(g, opts.RebalanceInterval)
+	// A node coming back from Down may have missed replica copies
+	// while it was out: a rebalance pass finds and heals them.
+	g.reg.OnRevive(func(string) { g.reb.Kick() })
 	g.jobs = jobs.NewTable()
 	g.defineJobs()
 	g.metrics = newGatewayMetrics(g)
@@ -258,15 +261,20 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// writeUpstream maps a node-call error onto the gateway reply: server
-// replies keep their status and message, transport failures become
-// 502.
-func writeUpstream(w http.ResponseWriter, err error) {
+// upstreamError maps a node-call error onto a gateway status and
+// message: server replies keep their status and message, transport
+// failures become 502.
+func upstreamError(err error) (int, string) {
 	if code := server.StatusCode(err); code != 0 {
-		writeError(w, code, "%s", server.ErrorMessage(err))
-		return
+		return code, server.ErrorMessage(err)
 	}
-	writeError(w, http.StatusBadGateway, "cluster: %v", err)
+	return http.StatusBadGateway, fmt.Sprintf("cluster: %v", err)
+}
+
+// writeUpstream answers with upstreamError's mapping of err.
+func writeUpstream(w http.ResponseWriter, err error) {
+	code, msg := upstreamError(err)
+	writeError(w, code, "%s", msg)
 }
 
 func (g *Gateway) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -455,14 +463,18 @@ func localFabric(topo []nodeFabrics, global int) (string, int, bool) {
 
 // ── blob + task routing ────────────────────────────────────────────
 
-// replicate copies a container to every owner except the one that
-// already holds it. With streams up the copies are *pipelined*: each
-// target's blob is enqueued on its persistent stream and the caller
-// returns without waiting — the receiver's ack fires the counters,
-// and a reconnect retransmits anything unacked, so the copy converges
-// even across a node crash. Targets without a live stream fall back
-// to the old write-through HTTP scatter. Failures are counted, not
-// fatal: a missed replica is healed by read-repair later.
+// replicate copies a freshly admitted container to every alive owner
+// except the one that already holds it. Callers skip it when the
+// holder reports the blob was not new (LoadResponse.Admitted false):
+// its copies went out when it was first admitted. With streams up the
+// copies are *pipelined*: each target's blob is enqueued on its
+// persistent stream and the caller returns without waiting — the
+// receiver's ack fires the counters, and a reconnect retransmits
+// anything unacked, so the copy converges even across a node crash.
+// Targets without a live stream fall back to the old write-through
+// HTTP scatter. Failures are counted, not fatal: the rebalancer heals
+// a missed replica on its next pass, and a node coming back from Down
+// kicks one.
 //
 // Force: replication carries the same user intent as the write it
 // fans out — it must land even on a node still holding a tombstone
@@ -601,9 +613,12 @@ func (g *Gateway) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Write-through replication: the blob must survive the loss of
-	// any replicas-1 nodes before the client hears "created".
-	g.replicate(r.Context(), data, owners, onNode)
+	// Write-through replication of a fresh admission: the blob must
+	// survive the loss of any replicas-1 nodes before the client hears
+	// "created". A blob the node already held was replicated then.
+	if placed.Admitted {
+		g.replicate(r.Context(), data, owners, onNode)
+	}
 
 	g.mu.Lock()
 	id := g.nextID
@@ -927,33 +942,39 @@ func (g *Gateway) handleGetVBS(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	g.proxied.Add(1)
+	data, code, msg := g.readBlob(r.Context(), d)
+	if code != http.StatusOK {
+		writeError(w, code, "%s", msg)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	_, _ = w.Write(data)
+}
+
+// readBlob walks d's owners in health order, then scatters over the
+// other nodes, and returns the first copy that hashes to d. On a miss
+// it returns nil with the status and message to answer.
+//
+// Owner verification runs only after a failover read — bytes served
+// by a non-primary owner or by the scatter fallback. That is the
+// signal the replica set may be degraded; a healthy primary's answer
+// is not, so it costs no HEAD fan-out. A replica lost behind a healthy
+// primary is the rebalancer's to heal. The sweep runs off the reply
+// path: a degraded read must not pay for the HEADs or the copies.
+func (g *Gateway) readBlob(ctx context.Context, d repo.Digest) ([]byte, int, string) {
 	owners := g.owners(d)
 	primary := g.curRing().Owner(d)
-	g.proxied.Add(1)
-
-	serve := func(data []byte, from string) {
-		// Read-repair: every successful read schedules an asynchronous
-		// owner-verification sweep off the reply path — a degraded read
-		// must not pay a HEAD fan-out or full-blob replication in
-		// latency. Verifying all owners (not just "served from
-		// non-primary") is what heals a *secondary* replica loss: the
-		// primary keeps answering, so only an explicit check notices
-		// the set is degraded.
-		g.scheduleRepair(d, data, from)
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		_, _ = w.Write(data)
-	}
-
 	var lastErr, goneErr error
 	for i, n := range owners {
-		data, err := g.fetchVerified(r.Context(), n, d)
+		data, err := g.fetchVerified(ctx, n, d)
 		if err == nil {
 			if i > 0 || n != primary {
 				g.failovers.Add(1)
+				g.scheduleRepair(d, data, n)
 			}
-			serve(data, n)
-			return
+			return data, http.StatusOK, ""
 		}
 		switch server.StatusCode(err) {
 		case http.StatusNotFound:
@@ -967,15 +988,15 @@ func (g *Gateway) handleGetVBS(w http.ResponseWriter, r *http.Request) {
 		// An owner answered 410: the blob was deleted and its tombstone
 		// still lives. Do NOT fall back to a scatter — serving a
 		// straggler replica would resurrect a deleted blob.
-		writeUpstream(w, goneErr)
-		return
+		code, msg := upstreamError(goneErr)
+		return nil, code, msg
 	}
 	// Every owner missed: the blob may live on a non-owner (imported
 	// directly into a node's repository). Scatter before giving up.
 	others := g.othersByHealth(owners)
 	if len(others) > 0 {
 		g.scatterFallbacks.Add(1)
-		res := scatter(r.Context(), g, others, func(ctx context.Context, c *server.Client) ([]byte, error) {
+		res := scatter(ctx, g, others, func(ctx context.Context, c *server.Client) ([]byte, error) {
 			data, err := c.GetVBSCtx(ctx, d.String())
 			if err == nil && repo.DigestOf(data) != d {
 				return nil, fmt.Errorf("cluster: corrupt bytes for %s", d.Short())
@@ -984,8 +1005,8 @@ func (g *Gateway) handleGetVBS(w http.ResponseWriter, r *http.Request) {
 		})
 		for _, nr := range res {
 			if nr.err == nil {
-				serve(nr.val, nr.node)
-				return
+				g.scheduleRepair(d, nr.val, nr.node)
+				return nr.val, http.StatusOK, ""
 			}
 		}
 	}
@@ -993,14 +1014,13 @@ func (g *Gateway) handleGetVBS(w http.ResponseWriter, r *http.Request) {
 		// A transport-only failure tail means every replica is down:
 		// say so with 503 (retryable outage), not a generic 502.
 		if server.StatusCode(lastErr) == 0 {
-			writeError(w, http.StatusServiceUnavailable,
-				"cluster: no replica of %s reachable: %v", d.Short(), lastErr)
-			return
+			return nil, http.StatusServiceUnavailable,
+				fmt.Sprintf("cluster: no replica of %s reachable: %v", d.Short(), lastErr)
 		}
-		writeUpstream(w, lastErr)
-		return
+		code, msg := upstreamError(lastErr)
+		return nil, code, msg
 	}
-	writeError(w, http.StatusNotFound, "vbs %s not stored", d.Short())
+	return nil, http.StatusNotFound, fmt.Sprintf("vbs %s not stored", d.Short())
 }
 
 // scheduleRepair launches one asynchronous owner-verification sweep

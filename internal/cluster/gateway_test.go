@@ -376,3 +376,102 @@ func TestGatewayConcurrentLoads(t *testing.T) {
 		t.Errorf("%d task(s) left after concurrent load/unload", len(tasks))
 	}
 }
+
+// TestGatewayHealthyReadSkipsRepairCheck: reads the primary serves,
+// single or batched, are not failover reads and run no owner
+// verification.
+func TestGatewayHealthyReadSkipsRepairCheck(t *testing.T) {
+	cl, _, _ := newCluster(t, 3, 1, cluster.Options{Replicas: 2})
+	data := makeVBS(t, 41, 6)
+	put, err := cl.PutVBS(context.Background(), data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := gatewayStats(t, cl).Cluster
+	for i := 0; i < 4; i++ {
+		got, err := cl.GetVBSCtx(t.Context(), put.Digest)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("get %d: %d bytes, err %v", i, len(got), err)
+		}
+	}
+	resp, err := cl.BatchCtx(t.Context(), server.BatchRequest{Ops: []server.BatchOp{
+		{Op: "get", Digest: put.Digest}, {Op: "get", Digest: put.Digest},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range resp.Results {
+		if r.Status != http.StatusOK {
+			t.Fatalf("batched get %d: status %d (%s)", i, r.Status, r.Error)
+		}
+	}
+	after := gatewayStats(t, cl).Cluster
+	if after.RepairChecks != before.RepairChecks || after.Failovers != before.Failovers {
+		t.Fatalf("healthy reads: repair_checks %d -> %d, failovers %d -> %d; want both unchanged",
+			before.RepairChecks, after.RepairChecks, before.Failovers, after.Failovers)
+	}
+}
+
+// TestGatewayReplicatesOnlyFreshAdmissions: a load that admits a blob
+// for the first time copies it to the other R-1 owners; loading the
+// stored blob again, singly or batched, copies nothing. Streams are
+// off so replication is synchronous and the counter exact on reply.
+// Two fabrics per node hold all six tasks even if one node owns both
+// blobs.
+func TestGatewayReplicatesOnlyFreshAdmissions(t *testing.T) {
+	const replicas = 2
+	cl, _, nodes := newCluster(t, 3, 2, cluster.Options{Replicas: replicas, DisableStreams: true})
+	replicated := func() uint64 { return gatewayStats(t, cl).Cluster.Replicated }
+
+	data := makeVBS(t, 42, 6)
+	first, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first.Admitted {
+		t.Fatal("first load not reported as a fresh admission")
+	}
+	if got := replicated(); got != replicas-1 {
+		t.Fatalf("replicated = %d after a fresh load, want %d", got, replicas-1)
+	}
+	if h := nodesHolding(t, nodes, first.Digest); len(h) != replicas {
+		t.Fatalf("fresh blob on %d node(s), want %d", len(h), replicas)
+	}
+
+	again, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Admitted {
+		t.Fatal("reload of a stored blob reported as a fresh admission")
+	}
+	resp, err := cl.BatchCtx(t.Context(), server.BatchRequest{Ops: []server.BatchOp{
+		server.BatchLoadOp(data), server.BatchLoadOp(data),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range resp.Results {
+		if r.Status != http.StatusCreated || r.Load == nil || r.Load.Admitted {
+			t.Fatalf("batched reload %d: status %d, load %+v", i, r.Status, r.Load)
+		}
+	}
+	if got := replicated(); got != replicas-1 {
+		t.Fatalf("replicated = %d after reloads of a stored blob, want %d", got, replicas-1)
+	}
+
+	// A batch admitting a fresh blob twice replicates it once.
+	fresh := makeVBS(t, 43, 6)
+	resp, err = cl.BatchCtx(t.Context(), server.BatchRequest{Ops: []server.BatchOp{
+		server.BatchLoadOp(fresh), server.BatchLoadOp(fresh),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := resp.Results[0]; r.Status != http.StatusCreated || !r.Load.Admitted {
+		t.Fatalf("batched fresh load: status %d (%s), load %+v", r.Status, r.Error, r.Load)
+	}
+	if got := replicated(); got != 2*(replicas-1) {
+		t.Fatalf("replicated = %d after a batched fresh load, want %d", got, 2*(replicas-1))
+	}
+}

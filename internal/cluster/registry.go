@@ -89,6 +89,10 @@ type Registry struct {
 	retryBase     time.Duration
 	retries       atomic.Uint64
 
+	// revived, when set, is called after a node goes from Down back to
+	// Alive (probe or request path).
+	revived func(name string)
+
 	stop      chan struct{}
 	done      chan struct{}
 	startOnce sync.Once
@@ -140,6 +144,28 @@ func (r *Registry) SetRetry(attempts int, base time.Duration) {
 	}
 	r.retryAttempts = attempts
 	r.retryBase = base
+}
+
+// OnRevive registers f to run, synchronously, each time a node goes
+// from Down back to Alive. Set it before Start; f must not block.
+func (r *Registry) OnRevive(f func(name string)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.revived = f
+}
+
+// markOK records a success for n and fires the revive hook when it
+// ends a Down spell.
+func (r *Registry) markOK(n *node, probed bool) {
+	if !n.ok(probed) {
+		return
+	}
+	r.mu.RLock()
+	f := r.revived
+	r.mu.RUnlock()
+	if f != nil {
+		f(n.name)
+	}
 }
 
 // Retries returns how many extra probe attempts retries have used.
@@ -247,12 +273,14 @@ func (r *Registry) ReportFailure(name string, err error) {
 // successful HTTP exchange proves liveness, including 4xx replies).
 func (r *Registry) ReportSuccess(name string) {
 	if n, ok := r.lookup(name); ok {
-		n.ok(false)
+		r.markOK(n, false)
 	}
 }
 
-func (n *node) ok(probed bool) {
+// ok marks the node Alive, reporting whether it was Down.
+func (n *node) ok(probed bool) (revived bool) {
 	n.mu.Lock()
+	revived = n.state == Down
 	n.state = Alive
 	n.fails = 0
 	n.lastErr = ""
@@ -260,6 +288,7 @@ func (n *node) ok(probed bool) {
 		n.lastProbe = time.Now()
 	}
 	n.mu.Unlock()
+	return revived
 }
 
 func (n *node) fail(err error) {
@@ -312,7 +341,7 @@ func (r *Registry) ProbeAll(ctx context.Context) {
 				n.fail(err)
 				return
 			}
-			n.ok(true)
+			r.markOK(n, true)
 		}(n)
 	}
 	wg.Wait()

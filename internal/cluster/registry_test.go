@@ -152,3 +152,34 @@ func TestRegistryProbeLoop(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestRegistryOnRevive: the revive hook fires once per Down-to-Alive
+// transition, from the request path and from probes alike, and never
+// for a Suspect node that recovers.
+func TestRegistryOnRevive(t *testing.T) {
+	n := newNode(t, 1, server.Options{})
+	reg := cluster.NewRegistry([]string{n.url}, nil, time.Hour, time.Second)
+	var revived []string
+	reg.OnRevive(func(name string) { revived = append(revived, name) })
+	reg.ProbeAll(t.Context())
+
+	err := errors.New("connection refused")
+	reg.ReportFailure(n.url, err)
+	reg.ReportSuccess(n.url)
+	if len(revived) != 0 {
+		t.Fatalf("suspect -> alive fired the hook: %v", revived)
+	}
+	reg.ReportFailure(n.url, err)
+	reg.ReportFailure(n.url, err)
+	reg.ReportSuccess(n.url)
+	reg.ReportSuccess(n.url)
+	if len(revived) != 1 || revived[0] != n.url {
+		t.Fatalf("after one down -> alive via a request: hook calls %v, want [%s]", revived, n.url)
+	}
+	reg.ReportFailure(n.url, err)
+	reg.ReportFailure(n.url, err)
+	reg.ProbeAll(t.Context())
+	if len(revived) != 2 {
+		t.Fatalf("after a down -> alive via a probe: %d hook calls, want 2", len(revived))
+	}
+}

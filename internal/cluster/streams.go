@@ -45,9 +45,11 @@ func (p *streamPool) get(node string) *transport.Stream {
 	if st, ok := p.streams[node]; ok {
 		return st
 	}
+	// Frames go out uncompressed, like the node's side of the stream
+	// (see server.handleStream for why).
 	st := transport.Open(func(ctx context.Context) (net.Conn, error) {
 		return transport.Dial(ctx, node)
-	}, transport.Config{Compress: true, Metrics: p.metrics, Logf: log.Printf})
+	}, transport.Config{Metrics: p.metrics, Logf: log.Printf})
 	p.streams[node] = st
 	return st
 }

@@ -398,7 +398,7 @@ func (s *Server) loadOne(begin time.Time, data []byte, req LoadRequest) (LoadRes
 	if err := s.store.ClearTombstone(digest); err != nil {
 		return zero, http.StatusInternalServerError, fmt.Errorf("cannot clear tombstone: %w", err)
 	}
-	ent, _, err := s.store.Put(data)
+	ent, existed, err := s.store.Put(data)
 	if err != nil {
 		status, msg := putError(err)
 		return zero, status, errors.New(msg)
@@ -500,6 +500,7 @@ func (s *Server) loadOne(begin time.Time, data []byte, req LoadRequest) (LoadRes
 		CompressionRatio: ent.VBS.CompressionRatio(),
 		LoadMS:           float64(elapsed) / float64(time.Millisecond),
 		Compacted:        compacted,
+		Admitted:         !existed,
 	}, 0, nil
 }
 

@@ -25,9 +25,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		Data: s.streamData,
 		Call: s.streamCall,
 	}, transport.Config{
-		Compress: true,
-		Metrics:  s.transport,
-		Logf:     log.Printf,
+		// No flate: batch frames are JSON that is mostly base64 of
+		// already-LZSS-compressed containers, so on an intra-cluster
+		// link deflate wins few bytes for CPU on both ends.
+		Metrics: s.transport,
+		Logf:    log.Printf,
 	})
 	if err != nil {
 		log.Printf("stream from %s: %v", conn.RemoteAddr(), err)

@@ -53,6 +53,11 @@ type LoadResponse struct {
 	// Compacted reports that the load only succeeded after the
 	// auto-compaction retry defragmented a fabric.
 	Compacted bool `json:"compacted,omitempty"`
+	// Admitted reports that this load stored the container for the
+	// first time on the node (neither its RAM nor its disk tier held
+	// the digest). A gateway replicates only fresh admissions: a blob
+	// the node already held was replicated when it was first admitted.
+	Admitted bool `json:"admitted"`
 }
 
 // BatchOp is one operation inside POST /tasks:batch. Exactly one op

@@ -4,8 +4,9 @@
 #
 #   1. build vbsd and vbschaos
 #   2. vbschaos -recipe nodekill   -short -vbsd: SIGKILL one node under
-#      a live load/get/unload mix; failover must hold and read-repair
-#      must bring every blob back to R replicas after restart
+#      a live load/get/unload mix; failover must hold and the
+#      rebalance pass the restart kicks must bring every blob back to
+#      R replicas
 #   3. vbschaos -recipe corruptblob -short -vbsd: flip bytes in an
 #      on-disk blob, kill -9, restart; the boot recovery scan must
 #      quarantine the rot and no read may ever serve corrupt bytes
