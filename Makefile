@@ -11,8 +11,9 @@ test:
 	$(GO) test ./...
 
 # lint runs cmd/vbslint — the in-repo invariant analyzers (errwrap,
-# ctxclient, poolescape, lockio, atomicfaults) plus go vet — over the
-# whole tree, tests included; staticcheck rides along when installed.
+# ctxclient, poolescape, lockio, atomicfaults, metricreg) plus go vet —
+# over the whole tree, tests included; staticcheck rides along when
+# installed.
 lint:
 	$(GO) run ./cmd/vbslint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi

@@ -86,7 +86,6 @@ func serve(args []string) {
 		retries   = fs.Int("retry-attempts", 0, "tries per idempotent hop before failover (0 = 3, 1 = no retries)")
 		retryBase = fs.Duration("retry-backoff", 0, "first retry delay, doubled per attempt with jitter (0 = 25ms)")
 		rebalance = fs.Duration("rebalance-interval", 0, "background rebalance pass interval (0 = 60s, negative = disabled)")
-		streams   = fs.Bool("streams", true, "use persistent per-node frame streams for replication, repair copies and batch fan-out")
 	)
 	_ = fs.Parse(args)
 
@@ -109,7 +108,6 @@ func serve(args []string) {
 		RetryAttempts:     *retries,
 		RetryBackoff:      *retryBase,
 		RebalanceInterval: *rebalance,
-		DisableStreams:    !*streams,
 	})
 	if err != nil {
 		log.Fatalf("vbsgw: %v", err)

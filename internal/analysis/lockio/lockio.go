@@ -279,7 +279,7 @@ func ioCall(fn *types.Func) string {
 		}
 		return "repo.Repo." + fn.Name() + " (disk)"
 	case named.Obj().Pkg().Path() == "repro/internal/transport" && named.Obj().Name() == "Stream":
-		if !blockingStreamMethods[fn.Name()] { // Connected is a lock-cheap accessor
+		if !blockingStreamMethods[fn.Name()] {
 			return ""
 		}
 		return "transport.Stream." + fn.Name() + " (stream)"
@@ -290,9 +290,7 @@ func ioCall(fn *types.Func) string {
 // blockingStreamMethods names the transport.Stream methods that can
 // block on the network or the send window; holding a lock across them
 // stalls every goroutine queued behind it when a peer goes slow.
-var blockingStreamMethods = map[string]bool{
-	"Send": true, "Call": true, "Ping": true, "Close": true,
-}
+var blockingStreamMethods = map[string]bool{"Call": true, "Close": true}
 
 // diskRepoMethods names the repo.Repo methods that perform file I/O;
 // the rest only read the in-memory index.

@@ -49,12 +49,6 @@ func (s *svc) repoUnderLock(r *repo.Repo) ([]byte, error) {
 	return r.Get(repo.Digest{}) // want `mutex s\.mu held across blocking call to repo\.Repo\.Get \(disk\)`
 }
 
-func (s *svc) streamSendUnderLock(ctx context.Context, st *transport.Stream) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return st.Send(ctx, nil, false, nil) // want `mutex s\.mu held across blocking call to transport\.Stream\.Send \(stream\)`
-}
-
 func (s *svc) streamCallUnderLock(ctx context.Context, st *transport.Stream) ([]byte, error) {
 	s.rw.RLock()
 	defer s.rw.RUnlock()
@@ -65,14 +59,6 @@ func (s *svc) dialUnderLock(ctx context.Context) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, _ = transport.Dial(ctx, "http://example.invalid") // want `mutex s\.mu held across blocking call to transport\.Dial \(network\)`
-}
-
-// connectedUnderLock: Stream.Connected only reads stream state, no
-// network — fine under a lock.
-func (s *svc) connectedUnderLock(st *transport.Stream) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return st.Connected()
 }
 
 // copyUnderLock is the sanctioned pattern: snapshot under the lock,

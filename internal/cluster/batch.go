@@ -12,10 +12,10 @@ import (
 )
 
 // handleBatch is the gateway's POST /tasks:batch: ops are partitioned
-// by owning node, sub-batches fan out concurrently (one stream RPC or
-// one HTTP POST per node instead of one per op), and per-op results
-// come back in request order. Freshly admitted blobs are then
-// replicated over the streams exactly like single loads, and a get
+// by owning node, sub-batches fan out concurrently (one stream RPC per
+// node instead of one request per op), and per-op results come back
+// in request order. Freshly admitted blobs are then replicated
+// exactly like single loads, and a get
 // the routed node could not serve walks the other owners exactly
 // like a single GET.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -223,7 +223,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, job := range repl {
 		d := repo.DigestOf(job.data)
-		g.replicate(r.Context(), job.data, g.curRing().Lookup(d, g.replicas), job.holder)
+		g.replicate(job.data, g.curRing().Lookup(d, g.replicas), job.holder)
 	}
 	writeJSON(w, http.StatusOK, server.BatchResponse{Results: results})
 }

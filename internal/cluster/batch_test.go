@@ -124,21 +124,50 @@ func TestGatewayStreamsEngage(t *testing.T) {
 	}
 }
 
-// TestGatewayBatchStreamsDisabled pins the HTTP fallback: with
-// DisableStreams the whole batched path still works end to end.
-func TestGatewayBatchStreamsDisabled(t *testing.T) {
-	c, _, nodes := newCluster(t, 2, 1, cluster.Options{Replicas: 2, DisableStreams: true})
-	data := makeVBS(t, 900, 6)
-	resp, err := c.BatchCtx(t.Context(), server.BatchRequest{Ops: []server.BatchOp{server.BatchLoadOp(data)}})
+// TestGatewayBatchOwnerKilled: a batch whose routed owner has died
+// comes back at once, not after the hop timeout. The dead owner's
+// sub-batch costs one refused dial; its get fails over to the
+// surviving owner and its load answers 503. Probing is off so the
+// gateway still routes to the dead node.
+func TestGatewayBatchOwnerKilled(t *testing.T) {
+	c, gw, nodes := newCluster(t, 3, 1, cluster.Options{
+		Replicas: 2, HopTimeout: 15 * time.Second, ProbeInterval: time.Hour,
+	})
+	data := makeVBS(t, 71, 6)
+	put, err := c.PutVBS(t.Context(), data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Results[0].Status != http.StatusCreated {
-		t.Fatalf("load: %+v", resp.Results[0])
+	primary := gw.Ring().Owner(repo.DigestOf(data))
+	var load []byte
+	for seed := int64(72); load == nil; seed++ {
+		if d := makeVBS(t, seed, 6); gw.Ring().Owner(repo.DigestOf(d)) == primary {
+			load = d
+		}
 	}
-	waitReplicas(t, nodes, resp.Results[0].Load.Digest, 2)
-	if open := metricValue(t, c.Base(), "vbs_transport_streams_open"); open != 0 {
-		t.Fatalf("streams open with DisableStreams: %v", open)
+	for _, n := range nodes {
+		if n.url == primary {
+			n.kill()
+		}
+	}
+
+	begin := time.Now()
+	resp, err := c.BatchCtx(t.Context(), server.BatchRequest{Ops: []server.BatchOp{
+		{Op: "get", Digest: put.Digest}, server.BatchLoadOp(load),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(begin); took > 2*time.Second {
+		t.Fatalf("batch to a dead owner took %v, want well under the 15s hop timeout", took)
+	}
+	if r := resp.Results[0]; r.Status != http.StatusOK {
+		t.Fatalf("get: status %d (%s), want 200 through failover", r.Status, r.Error)
+	} else if got, err := base64.StdEncoding.DecodeString(r.VBS); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("get served different bytes (err %v)", err)
+	}
+	if r := resp.Results[1]; r.Status != http.StatusServiceUnavailable {
+		t.Fatalf("load to the dead owner: status %d (%s), want 503", r.Status, r.Error)
 	}
 }
 

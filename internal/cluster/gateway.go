@@ -56,10 +56,6 @@ type Options struct {
 	// 0 selects 60s, negative disables the rebalancer (membership
 	// changes still kick a pass when enabled).
 	RebalanceInterval time.Duration
-	// DisableStreams turns the persistent per-node frame streams off:
-	// replication, repair/rebalance copies and batch fan-out all fall
-	// back to per-request HTTP.
-	DisableStreams bool
 }
 
 // gwTask maps a gateway task id to the node-local task it proxies.
@@ -107,10 +103,12 @@ type Gateway struct {
 	nextID    int64
 	fabCounts map[string]int // node -> fabric pool size (static per node boot)
 
-	// repairs tracks in-flight asynchronous read-repairs so Stop can
-	// drain them (and tests can observe completion); repairing dedups
-	// concurrent owner-verification sweeps per digest.
+	// repairs and copies track in-flight asynchronous read-repairs and
+	// replica copies so Stop can drain them (and tests can observe
+	// completion); repairing dedups concurrent owner-verification
+	// sweeps per digest.
 	repairs   sync.WaitGroup
+	copies    sync.WaitGroup
 	repairing sync.Map
 
 	proxied          atomic.Uint64
@@ -178,7 +176,7 @@ func New(nodes []string, opts Options) (*Gateway, error) {
 	g.jobs = jobs.NewTable()
 	g.defineJobs()
 	g.metrics = newGatewayMetrics(g)
-	g.streams = newStreamPool(!opts.DisableStreams, g.transport)
+	g.streams = newStreamPool(g.transport)
 	return g, nil
 }
 
@@ -207,7 +205,8 @@ func (g *Gateway) Start(ctx context.Context) {
 }
 
 // Stop terminates the rebalance and probe loops, aborts running jobs,
-// and drains in-flight read-repairs (each bounded by the hop timeout).
+// and drains in-flight read-repairs and replica copies (each bounded
+// by the hop timeout) before closing the node streams.
 func (g *Gateway) Stop() {
 	g.reb.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -215,6 +214,7 @@ func (g *Gateway) Stop() {
 	cancel()
 	g.reg.Stop()
 	g.repairs.Wait()
+	g.copies.Wait()
 	g.streams.closeAll()
 }
 
@@ -329,34 +329,41 @@ type nodeResult[T any] struct {
 // between name capture and client lookup.
 var errNotMember = errors.New("cluster: node no longer in registry")
 
-// scatter fans f out to the given nodes concurrently and collects
-// every answer in node order. Transport failures are retried per the
-// gateway retry policy (every scatter use is idempotent) and demote
-// the node in the registry.
-func scatter[T any](ctx context.Context, g *Gateway, nodes []string,
-	f func(ctx context.Context, c *server.Client) (T, error)) []nodeResult[T] {
+// fanOut runs f for every node concurrently and collects every answer
+// in node order.
+func fanOut[T any](nodes []string, f func(node string) (T, error)) []nodeResult[T] {
 	out := make([]nodeResult[T], len(nodes))
 	var wg sync.WaitGroup
 	for i, n := range nodes {
 		wg.Add(1)
-		go func(i int, n string) {
+		go func() {
 			defer wg.Done()
-			c := g.reg.Client(n)
-			if c == nil {
-				out[i] = nodeResult[T]{node: n, err: errNotMember}
-				return
-			}
-			var val T
-			err := g.retryTransport(ctx, n, func(ctx context.Context) error {
-				var ferr error
-				val, ferr = f(ctx, c)
-				return ferr
-			})
+			val, err := f(n)
 			out[i] = nodeResult[T]{node: n, val: val, err: err}
-		}(i, n)
+		}()
 	}
 	wg.Wait()
 	return out
+}
+
+// scatter fans an HTTP call out to the given nodes. Transport failures
+// are retried per the gateway retry policy (every scatter use is
+// idempotent) and demote the node in the registry.
+func scatter[T any](ctx context.Context, g *Gateway, nodes []string,
+	f func(ctx context.Context, c *server.Client) (T, error)) []nodeResult[T] {
+	return fanOut(nodes, func(n string) (T, error) {
+		var val T
+		c := g.reg.Client(n)
+		if c == nil {
+			return val, errNotMember
+		}
+		err := g.retryTransport(ctx, n, func(ctx context.Context) error {
+			var ferr error
+			val, ferr = f(ctx, c)
+			return ferr
+		})
+		return val, err
+	})
 }
 
 // observeOp records one gateway operation's end-to-end latency into
@@ -466,57 +473,32 @@ func localFabric(topo []nodeFabrics, global int) (string, int, bool) {
 // replicate copies a freshly admitted container to every alive owner
 // except the one that already holds it. Callers skip it when the
 // holder reports the blob was not new (LoadResponse.Admitted false):
-// its copies went out when it was first admitted. With streams up the
-// copies are *pipelined*: each target's blob is enqueued on its
-// persistent stream and the caller returns without waiting — the
-// receiver's ack fires the counters, and a reconnect retransmits
-// anything unacked, so the copy converges even across a node crash.
-// Targets without a live stream fall back to the old write-through
-// HTTP scatter. Failures are counted, not fatal: the rebalancer heals
-// a missed replica on its next pass, and a node coming back from Down
-// kicks one.
+// its copies went out when it was first admitted. Each copy runs in
+// the background under the hop timeout, so the caller returns without
+// waiting; Stop drains them. A failed copy is counted and kicks the
+// rebalancer, which heals the missed replica (as does a node coming
+// back from Down).
 //
 // Force: replication carries the same user intent as the write it
 // fans out — it must land even on a node still holding a tombstone
 // from an earlier delete of the same bytes.
-func (g *Gateway) replicate(ctx context.Context, data []byte, owners []string, holder string) {
-	var httpTargets []string
-	var msg []byte
+func (g *Gateway) replicate(data []byte, owners []string, holder string) {
 	for _, n := range owners {
 		if n == holder || !g.reg.Alive(n) {
 			continue
 		}
-		st := g.streams.ready(n)
-		if st == nil {
-			httpTargets = append(httpTargets, n)
-			continue
-		}
-		if msg == nil {
-			msg = objPutMsg(data, true)
-		}
-		err := st.Send(ctx, msg, true, func(err error) {
-			if err != nil {
+		g.copies.Add(1)
+		go func() {
+			defer g.copies.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), g.hop)
+			defer cancel()
+			if _, err := g.putBlobNode(ctx, n, data, true); err != nil {
 				g.replicationFails.Add(1)
-			} else {
-				g.replicated.Add(1)
+				g.reb.Kick()
+				return
 			}
-		})
-		if err != nil {
-			httpTargets = append(httpTargets, n)
-		}
-	}
-	if len(httpTargets) == 0 {
-		return
-	}
-	res := scatter(ctx, g, httpTargets, func(ctx context.Context, c *server.Client) (server.PutVBSResponse, error) {
-		return c.PutVBSForce(ctx, data)
-	})
-	for _, r := range res {
-		if r.err != nil {
-			g.replicationFails.Add(1)
-		} else {
 			g.replicated.Add(1)
-		}
+		}()
 	}
 }
 
@@ -613,11 +595,10 @@ func (g *Gateway) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Write-through replication of a fresh admission: the blob must
-	// survive the loss of any replicas-1 nodes before the client hears
-	// "created". A blob the node already held was replicated then.
+	// Replicate a fresh admission; a blob the node already held was
+	// replicated then.
 	if placed.Admitted {
-		g.replicate(r.Context(), data, owners, onNode)
+		g.replicate(data, owners, onNode)
 	}
 
 	g.mu.Lock()
@@ -857,8 +838,8 @@ func (g *Gateway) handlePutVBS(w http.ResponseWriter, r *http.Request) {
 	g.proxied.Add(1)
 	// Force: an explicit client write overrides any delete tombstone,
 	// exactly like the single-daemon PUT-after-force semantics.
-	res := scatter(r.Context(), g, owners, func(ctx context.Context, c *server.Client) (server.PutVBSResponse, error) {
-		return c.PutVBSForce(ctx, data)
+	res := fanOut(owners, func(n string) (server.PutVBSResponse, error) {
+		return g.putBlobNode(r.Context(), n, data, true)
 	})
 	var firstOK *server.PutVBSResponse
 	var lastErr error
@@ -1106,8 +1087,8 @@ func (g *Gateway) repairOwners(d repo.Digest, data []byte, from string) {
 	}
 	// Deliberately NOT force: a tombstone written between the HEADs and
 	// this put must win (the 410 reply then finishes the delete's
-	// propagation instead). Copies ride the stream when live — one
-	// synchronous RPC per node so the 410 is still observable.
+	// propagation instead). Each copy is one synchronous RPC, so the
+	// 410 is still observable.
 	var healed, goneOnPut bool
 	var wg sync.WaitGroup
 	var resMu sync.Mutex

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/repo"
 	"repro/internal/server"
+	"repro/internal/transport"
 )
 
 // TestGatewayLoadReplicatesAndServesThroughFailover is the acceptance
@@ -37,8 +39,9 @@ func TestGatewayLoadReplicatesAndServesThroughFailover(t *testing.T) {
 		containers[res.Digest] = data
 	}
 
-	// Write-through replication: every digest on exactly 2 nodes.
+	// Every digest on exactly 2 nodes once the background copies land.
 	for digest := range containers {
+		waitReplicas(t, nodes, digest, 2)
 		if holders := nodesHolding(t, nodes, digest); len(holders) != 2 {
 			t.Fatalf("digest %s on %d node(s) %v, want 2", digest[:12], len(holders), holders)
 		}
@@ -277,13 +280,15 @@ func TestGatewayReadRepair(t *testing.T) {
 // TestGatewayListVBSMergesReplicas: the merged blob listing reports
 // one row per digest with a replica count.
 func TestGatewayListVBSMergesReplicas(t *testing.T) {
-	cl, _, _ := newCluster(t, 3, 1, cluster.Options{Replicas: 2})
+	cl, _, nodes := newCluster(t, 3, 1, cluster.Options{Replicas: 2})
 
 	data := makeVBS(t, 41, 6)
 	res, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The replica copy lands in the background.
+	waitReplicas(t, nodes, res.Digest, 2)
 	// Loading the identical container again deduplicates fleet-wide.
 	if _, err := cl.LoadCtx(t.Context(), data, nil, nil, nil); err != nil {
 		t.Fatal(err)
@@ -414,14 +419,19 @@ func TestGatewayHealthyReadSkipsRepairCheck(t *testing.T) {
 
 // TestGatewayReplicatesOnlyFreshAdmissions: a load that admits a blob
 // for the first time copies it to the other R-1 owners; loading the
-// stored blob again, singly or batched, copies nothing. Streams are
-// off so replication is synchronous and the counter exact on reply.
-// Two fabrics per node hold all six tasks even if one node owns both
+// stored blob again, singly or batched, copies nothing. Copies run in
+// the background, so the counter is polled before each check. Two
+// fabrics per node hold all six tasks even if one node owns both
 // blobs.
 func TestGatewayReplicatesOnlyFreshAdmissions(t *testing.T) {
 	const replicas = 2
-	cl, _, nodes := newCluster(t, 3, 2, cluster.Options{Replicas: replicas, DisableStreams: true})
+	cl, _, nodes := newCluster(t, 3, 2, cluster.Options{Replicas: replicas})
 	replicated := func() uint64 { return gatewayStats(t, cl).Cluster.Replicated }
+	waitReplicated := func(want uint64) {
+		for deadline := time.Now().Add(5 * time.Second); replicated() < want && time.Now().Before(deadline); {
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
 
 	data := makeVBS(t, 42, 6)
 	first, err := cl.LoadCtx(t.Context(), data, nil, nil, nil)
@@ -431,6 +441,7 @@ func TestGatewayReplicatesOnlyFreshAdmissions(t *testing.T) {
 	if !first.Admitted {
 		t.Fatal("first load not reported as a fresh admission")
 	}
+	waitReplicated(replicas - 1)
 	if got := replicated(); got != replicas-1 {
 		t.Fatalf("replicated = %d after a fresh load, want %d", got, replicas-1)
 	}
@@ -471,7 +482,50 @@ func TestGatewayReplicatesOnlyFreshAdmissions(t *testing.T) {
 	if r := resp.Results[0]; r.Status != http.StatusCreated || !r.Load.Admitted {
 		t.Fatalf("batched fresh load: status %d (%s), load %+v", r.Status, r.Error, r.Load)
 	}
+	waitReplicated(2 * (replicas - 1))
 	if got := replicated(); got != 2*(replicas-1) {
 		t.Fatalf("replicated = %d after a batched fresh load, want %d", got, 2*(replicas-1))
+	}
+}
+
+// TestGatewayStopDrainsCopies: Stop, called right after a fresh load,
+// returns only once every replica copy has finished, as a success or
+// a failure. The nodes answer the stream upgrade slowly, so the copies
+// are still dialing when Stop begins.
+func TestGatewayStopDrainsCopies(t *testing.T) {
+	const replicas = 3
+	slowUpgrade := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == transport.DefaultPath {
+				time.Sleep(300 * time.Millisecond)
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	var urls []string
+	for i := 0; i < replicas; i++ {
+		urls = append(urls, newNodeWith(t, 1, server.Options{}, slowUpgrade).url)
+	}
+	gw, err := cluster.New(urls, cluster.Options{Replicas: replicas})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.Start(t.Context())
+	hs := httptest.NewServer(gw.Handler())
+	t.Cleanup(hs.Close)
+	cl := server.NewClient(hs.URL, nil)
+
+	first, err := cl.LoadCtx(t.Context(), makeVBS(t, 44, 6), nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first.Admitted {
+		t.Fatal("load not reported as a fresh admission")
+	}
+	gw.Stop()
+	st := gatewayStats(t, cl).Cluster
+	if got := st.Replicated + st.ReplicationFailed; got != replicas-1 {
+		t.Fatalf("after Stop: replicated %d + failed %d = %d, want %d",
+			st.Replicated, st.ReplicationFailed, got, replicas-1)
 	}
 }

@@ -2,7 +2,10 @@ package cluster_test
 
 import (
 	"math/rand"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -74,11 +77,48 @@ type testNode struct {
 	url    string
 	srv    *server.Server
 	hs     *httptest.Server
+	ln     *connListener
 	client *server.Client
+}
+
+// connListener records every connection a node accepts, so kill can
+// sever the hijacked stream connections httptest.Server.Close leaves
+// open.
+type connListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *connListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+func (l *connListener) closeAll() {
+	l.mu.Lock()
+	conns := l.conns
+	l.conns = nil
+	l.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
+	}
 }
 
 // newNode starts an httptest vbsd over fresh 16x16 W=8 fabrics.
 func newNode(t *testing.T, fabrics int, opts server.Options) *testNode {
+	t.Helper()
+	return newNodeWith(t, fabrics, opts, nil)
+}
+
+// newNodeWith is newNode with the daemon's handler wrapped by wrap
+// (nil = unwrapped).
+func newNodeWith(t *testing.T, fabrics int, opts server.Options, wrap func(http.Handler) http.Handler) *testNode {
 	t.Helper()
 	ctrls := make([]*controller.Controller, fabrics)
 	for i := range ctrls {
@@ -92,9 +132,16 @@ func newNode(t *testing.T, fabrics int, opts server.Options) *testNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	h := srv.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	hs := httptest.NewUnstartedServer(h)
+	ln := &connListener{Listener: hs.Listener}
+	hs.Listener = ln
+	hs.Start()
 	t.Cleanup(hs.Close)
-	return &testNode{url: hs.URL, srv: srv, hs: hs, client: server.NewClient(hs.URL, nil)}
+	return &testNode{url: hs.URL, srv: srv, hs: hs, ln: ln, client: server.NewClient(hs.URL, nil)}
 }
 
 // newCluster starts n nodes plus a gateway over them, and returns an
@@ -147,10 +194,12 @@ func nodesHolding(t *testing.T, nodes []*testNode, digest string) []string {
 	return out
 }
 
-// kill closes a node's HTTP server so every future call to it fails
-// at the transport level (the cluster's view of a crashed daemon).
+// kill closes a node's HTTP server and every connection it accepted,
+// streams included, so every future call to it fails at the transport
+// level (the cluster's view of a crashed daemon).
 func (n *testNode) kill() {
 	n.hs.CloseClientConnections()
 	n.hs.Close()
+	n.ln.closeAll()
 	n.hs = nil
 }

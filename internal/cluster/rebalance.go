@@ -410,8 +410,7 @@ func (rb *Rebalancer) copyTo(ctx context.Context, d repo.Digest, to string, hold
 			return false
 		}
 		// Deliberately NOT force: a delete that lands mid-copy wins —
-		// the 410 turns this copy into tombstone propagation. The copy
-		// rides the destination's stream when live (HTTP otherwise).
+		// the 410 turns this copy into tombstone propagation.
 		resp, err := g.putBlobNode(ctx, to, data, false)
 		switch {
 		case server.StatusCode(err) == http.StatusGone:

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"time"
 
@@ -53,9 +54,10 @@ func backoffSleep(ctx context.Context, base time.Duration, attempt int) {
 
 // retryable reports whether an error is a transport failure worth
 // retrying against the same node. Context cancellation means the
-// caller gave up, not that the node misbehaved.
+// caller gave up, not that the node misbehaved, and a node that left
+// the registry stays gone.
 func retryable(ctx context.Context, err error) bool {
-	return err != nil && server.StatusCode(err) == 0 && ctx.Err() == nil
+	return err != nil && server.StatusCode(err) == 0 && !errors.Is(err, errNotMember) && ctx.Err() == nil
 }
 
 // retryTransport runs op against one node, retrying transport-level

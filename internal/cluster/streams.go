@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"log"
 	"net"
 	"sync"
@@ -14,11 +13,10 @@ import (
 )
 
 // streamPool lazily maintains one persistent framed stream per node —
-// the gateway's data plane. Streams open on first use, reconnect with
-// backoff on their own, and close when the node leaves the cluster or
-// the gateway stops.
+// the gateway's one path for moving blobs and batches to nodes.
+// Streams open on first use, redial on their own, and close when the
+// node leaves the cluster or the gateway stops.
 type streamPool struct {
-	enabled bool
 	metrics *transport.Metrics
 
 	mu      sync.Mutex
@@ -26,17 +24,13 @@ type streamPool struct {
 	closed  bool
 }
 
-func newStreamPool(enabled bool, m *transport.Metrics) *streamPool {
-	return &streamPool{enabled: enabled, metrics: m, streams: make(map[string]*transport.Stream)}
+func newStreamPool(m *transport.Metrics) *streamPool {
+	return &streamPool{metrics: m, streams: make(map[string]*transport.Stream)}
 }
 
 // get returns the node's stream, opening it on first use (the dial
-// itself runs in the background). Nil when streams are disabled or
-// the pool is closed.
+// itself runs in the background). Nil once the pool is closed.
 func (p *streamPool) get(node string) *transport.Stream {
-	if p == nil || !p.enabled {
-		return nil
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -54,24 +48,8 @@ func (p *streamPool) get(node string) *transport.Stream {
 	return st
 }
 
-// ready returns the node's stream only once its connection is live.
-// Callers fall back to per-request HTTP while it is cold or down, so a
-// node that cannot speak the protocol (older build, -streams=false)
-// never strands work on a stream that cannot deliver it; get() has
-// still warmed the stream so it is ready next time.
-func (p *streamPool) ready(node string) *transport.Stream {
-	st := p.get(node)
-	if st == nil || !st.Connected() {
-		return nil
-	}
-	return st
-}
-
 // drop closes and forgets the node's stream (node left the cluster).
 func (p *streamPool) drop(node string) {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	st := p.streams[node]
 	delete(p.streams, node)
@@ -83,9 +61,6 @@ func (p *streamPool) drop(node string) {
 
 // closeAll shuts the pool down for gateway stop.
 func (p *streamPool) closeAll() {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	sts := make([]*transport.Stream, 0, len(p.streams))
 	for _, st := range p.streams {
@@ -99,83 +74,52 @@ func (p *streamPool) closeAll() {
 	}
 }
 
-// objPutMsg encodes a blob put for the stream: the container ships
-// raw (it is already LZSS-compressed end to end), addressed by its
-// content digest which the node re-verifies on arrival.
-func objPutMsg(data []byte, force bool) []byte {
-	return transport.EncodeObjPut([32]byte(repo.DigestOf(data)), force, data)
+// call runs one RPC on the node's stream and decodes its result into
+// out. A node with no live connection costs one dial: if it fails the
+// call returns transport.ErrUnreachable, never written.
+func (g *Gateway) call(ctx context.Context, node string, msg []byte, raw bool, out any) error {
+	if g.reg.Client(node) == nil {
+		return errNotMember
+	}
+	st := g.streams.get(node)
+	if st == nil {
+		return transport.ErrClosed
+	}
+	resp, err := st.Call(ctx, msg, raw)
+	if err != nil {
+		return err
+	}
+	return server.DecodeStreamResult(resp, out)
 }
 
-// putBlobNode copies a blob to one node synchronously — one RPC over
-// its stream when live, else HTTP with transport retries. Repair and
-// rebalance copies come through here because they need a definite
-// outcome (a 410 turns the copy into delete propagation). The put is
-// idempotent, so a stream disconnect mid-call safely retries over
-// HTTP.
+// putBlobNode copies a blob to one node and waits for the outcome (a
+// 410 turns a repair copy into delete propagation). The container
+// ships raw (it is already LZSS-compressed end to end), addressed by
+// its content digest, which the node re-verifies on arrival. The put
+// is idempotent, so transport failures retry per the gateway's retry
+// policy.
 func (g *Gateway) putBlobNode(ctx context.Context, node string, data []byte, force bool) (server.PutVBSResponse, error) {
 	var out server.PutVBSResponse
-	if st := g.streams.ready(node); st != nil {
-		hctx, cancel := context.WithTimeout(ctx, g.hop)
-		resp, err := st.Call(hctx, objPutMsg(data, force), true)
-		cancel()
-		if err == nil {
-			derr := server.DecodeStreamResult(resp, &out)
-			g.observe(node, derr)
-			return out, derr
-		}
-	}
-	c := g.reg.Client(node)
-	if c == nil {
-		return out, errNotMember
-	}
+	msg := transport.EncodeObjPut([32]byte(repo.DigestOf(data)), force, data)
 	err := g.retryTransport(ctx, node, func(ctx context.Context) error {
-		var perr error
-		if force {
-			out, perr = c.PutVBSForce(ctx, data)
-		} else {
-			out, perr = c.PutVBS(ctx, data)
-		}
-		return perr
+		return g.call(ctx, node, msg, true, &out)
 	})
 	return out, err
 }
 
-// nodeBatch runs one sub-batch on a node — one RPC over its stream
-// when live, else one HTTP POST. A call that reached the wire without
-// a response (disconnect, or the hop deadline expiring mid-call) is
-// surfaced, never replayed over HTTP: the node may have executed the
-// batch, and loads are not idempotent.
+// nodeBatch runs one sub-batch on a node as one RPC. It is never
+// retried: a call cut mid-flight may have executed, and loads are not
+// idempotent.
 func (g *Gateway) nodeBatch(ctx context.Context, node string, req server.BatchRequest) (server.BatchResponse, error) {
 	var out server.BatchResponse
 	g.proxied.Add(1)
-	if st := g.streams.ready(node); st != nil {
-		body, err := json.Marshal(req)
-		if err != nil {
-			return out, err
-		}
-		hctx, cancel := context.WithTimeout(ctx, g.hop)
-		resp, cerr := st.Call(hctx, transport.EncodeMsg(transport.MsgBatch, body), false)
-		cancel()
-		if cerr == nil {
-			derr := server.DecodeStreamResult(resp, &out)
-			g.observe(node, derr)
-			return out, derr
-		}
-		g.observe(node, cerr)
-		if errors.Is(cerr, transport.ErrDisconnected) {
-			// Written with no response: outcome unknown, retry unsafe.
-			return out, cerr
-		}
-		// The request was never written (still queued at ctx expiry,
-		// pool closing, stream racing shut): HTTP is safe.
-	}
-	c := g.reg.Client(node)
-	if c == nil {
-		return out, errNotMember
+	body, err := json.Marshal(req)
+	if err != nil {
+		return out, err
 	}
 	hctx, cancel := context.WithTimeout(ctx, g.hop)
 	defer cancel()
-	out, err := c.BatchCtx(hctx, req)
+	err = g.call(hctx, node, transport.EncodeMsg(transport.MsgBatch, body), false, &out)
 	g.observe(node, err)
 	return out, err
 }

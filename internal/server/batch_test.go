@@ -71,8 +71,8 @@ func TestBatchMixedOps(t *testing.T) {
 }
 
 // TestStreamObjPut exercises the node's stream endpoint the way the
-// gateway uses it: async replication puts with digest re-verification,
-// synchronous puts with HTTP-status results, and a batch RPC.
+// gateway uses it: blob puts with digest re-verification and
+// HTTP-status results, and a batch RPC.
 func TestStreamObjPut(t *testing.T) {
 	c, _ := newTestDaemon(t, 1, 30, server.Options{})
 	data, err := makeVBS(2, 8, 8, 8, 2).Encode()
@@ -89,32 +89,8 @@ func TestStreamObjPut(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	// Async data-frame put: the pipelined replication path.
-	acked := make(chan error, 1)
+	// First put: the replica-copy path admits the blob.
 	msg := transport.EncodeObjPut([32]byte(digest), true, data)
-	if err := st.Send(ctx, msg, true, func(err error) { acked <- err }); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-acked:
-		if err != nil {
-			t.Fatalf("objput not acked: %v", err)
-		}
-	case <-ctx.Done():
-		t.Fatal("objput never acked")
-	}
-	waitBlob(t, c, digest.String())
-
-	// A corrupted payload must be refused: flip the digest so the
-	// content address no longer matches the bytes.
-	var bad [32]byte = [32]byte(digest)
-	bad[0] ^= 0xff
-	wrong := store.Digest(bad)
-	if err := st.Send(ctx, transport.EncodeObjPut(bad, true, data), true, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Synchronous put RPC: the read-repair / rebalance copy path.
 	resp, err := st.Call(ctx, msg, true)
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +99,34 @@ func TestStreamObjPut(t *testing.T) {
 	if err := server.DecodeStreamResult(resp, &put); err != nil {
 		t.Fatal(err)
 	}
+	if put.Digest != digest.String() || put.Existed {
+		t.Fatalf("first objput: %+v", put)
+	}
+	waitBlob(t, c, digest.String())
+
+	// A corrupted payload must be refused: flip the digest so the
+	// content address no longer matches the bytes.
+	var bad [32]byte = [32]byte(digest)
+	bad[0] ^= 0xff
+	wrong := store.Digest(bad)
+	resp, err = st.Call(ctx, transport.EncodeObjPut(bad, true, data), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if derr := server.DecodeStreamResult(resp, nil); server.StatusCode(derr) != http.StatusBadRequest {
+		t.Fatalf("mismatched objput: got %v, want 400", derr)
+	}
+
+	// A repeat put finds the blob stored.
+	resp, err = st.Call(ctx, msg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := server.DecodeStreamResult(resp, &put); err != nil {
+		t.Fatal(err)
+	}
 	if put.Digest != digest.String() || !put.Existed {
-		t.Fatalf("sync objput: %+v", put)
+		t.Fatalf("repeat objput: %+v", put)
 	}
 
 	// Batch RPC over the stream.

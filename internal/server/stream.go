@@ -12,19 +12,15 @@ import (
 )
 
 // handleStream upgrades GET /stream into a persistent framed
-// connection — the gateway's data plane into this node. Data frames
-// carry pipelined replication puts; RPCs carry pings, synchronous
-// copies and batches.
+// connection — the gateway's data plane into this node. Every message
+// is an RPC: a blob put or a batch.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	conn, err := transport.Upgrade(w, r)
 	if err != nil {
 		return // Upgrade already answered over HTTP
 	}
 	defer conn.Close()
-	err = transport.Serve(conn, transport.Handlers{
-		Data: s.streamData,
-		Call: s.streamCall,
-	}, transport.Config{
+	err = transport.Serve(conn, transport.Handlers{Call: s.streamCall}, transport.Config{
 		// No flate: batch frames are JSON that is mostly base64 of
 		// already-LZSS-compressed containers, so on an intra-cluster
 		// link deflate wins few bytes for CPU on both ends.
@@ -36,44 +32,25 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// streamData handles a fire-and-forget replication put. The content
-// address is re-verified against the bytes that actually arrived: the
-// frame CRC guards the wire, this guards everything between decode
-// and the store — a mismatched blob is never admitted, so it can
-// never be served.
-func (s *Server) streamData(msg []byte) error {
-	if transport.MsgKind(msg) != transport.MsgObjPut {
-		return fmt.Errorf("unexpected data message kind %d", transport.MsgKind(msg))
-	}
-	digest, force, blob, err := transport.DecodeObjPut(msg)
-	if err != nil {
-		return err
-	}
-	if store.Digest(digest) != store.DigestOf(blob) {
-		return fmt.Errorf("objput digest mismatch for %d blob bytes", len(blob))
-	}
-	// Same op label as POST /vbs: a replica copy is the same work
-	// whether it arrived over HTTP or a stream frame.
-	defer s.observe("vbs_put", time.Now())
-	_, _, perr := s.putBlob(blob, force)
-	return perr
-}
-
 // streamCall dispatches stream RPCs. Results carry HTTP status codes
 // so both transports share one error vocabulary end to end.
 func (s *Server) streamCall(msg []byte) ([]byte, bool) {
 	switch transport.MsgKind(msg) {
-	case transport.MsgPing:
-		return transport.EncodeResult(http.StatusOK, nil), false
 	case transport.MsgObjPut:
 		digest, force, blob, err := transport.DecodeObjPut(msg)
 		if err != nil {
 			return streamErr(http.StatusBadRequest, err.Error()), false
 		}
+		// The content address is re-verified against the bytes that
+		// actually arrived: the frame CRC guards the wire, this guards
+		// everything between decode and the store — a mismatched blob
+		// is never admitted, so it can never be served.
 		if store.Digest(digest) != store.DigestOf(blob) {
 			return streamErr(http.StatusBadRequest,
 				fmt.Sprintf("objput digest mismatch for %d blob bytes", len(blob))), false
 		}
+		// Same op label as POST /vbs: a blob put is the same work
+		// whether it arrived over HTTP or a stream frame.
 		defer s.observe("vbs_put", time.Now())
 		resp, status, perr := s.putBlob(blob, force)
 		if perr != nil {

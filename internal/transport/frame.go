@@ -1,9 +1,8 @@
 // Package transport is the intra-cluster streaming data plane: a
 // length-prefixed frame codec over long-lived TCP connections,
 // upgraded out of the daemons' existing HTTP listeners. The gateway
-// keeps one persistent stream per node and moves blob replication,
-// repair copies and batched task loads over it instead of paying one
-// HTTP round trip per operation (aistore's transport package is the
+// keeps one persistent stream per node and moves every blob copy and
+// batch over it instead of paying one HTTP round trip per operation (aistore's transport package is the
 // model: streams with send-side batching and optional compression).
 //
 // The wire unit is a frame:
@@ -19,14 +18,14 @@
 //	20      4     CRC32C (Castagnoli) of the wire payload
 //	24      ...   payload
 //
-// Data frames are fire-and-forget messages acknowledged cumulatively
-// by ack frames (the receiver acks the highest data sequence it has
-// processed; the sender holds unacked frames for retransmission after
-// a reconnect). Req frames are RPCs answered by a resp frame carrying
-// the same sequence number. Payloads may be flate-compressed per
-// frame; VBS containers are already LZSS-compressed, so blob-carrying
-// messages set FlagRaw and ship verbatim — compressed end to end, the
-// paper's design point carried across the wire.
+// Req frames are RPCs answered by a resp frame carrying the same
+// sequence number; every message a stream moves is one. The data and
+// ack frame types remain codec vocabulary only: the codec encodes and
+// decodes them, but no stream sends them. Payloads may be
+// flate-compressed per frame; VBS containers are already
+// LZSS-compressed, so blob-carrying messages set FlagRaw and ship
+// verbatim — compressed end to end, the paper's design point carried
+// across the wire.
 package transport
 
 import (
@@ -66,10 +65,10 @@ const (
 
 // Frame types.
 const (
-	// FrameData is a fire-and-forget message, cumulatively acked.
+	// FrameData and FrameAck are codec vocabulary only: no stream
+	// sends them, and Serve ignores them.
 	FrameData byte = 1
-	// FrameAck acknowledges every data frame with Seq <= its Seq.
-	FrameAck byte = 2
+	FrameAck  byte = 2
 	// FrameReq is an RPC request; a FrameResp with the same Seq
 	// answers it.
 	FrameReq byte = 3

@@ -65,7 +65,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		"Payload bytes shipped verbatim (already-compressed VBS and small frames).",
 		func() float64 { return float64(m.rawSent.Load()) })
 	reg.CounterFunc("vbs_transport_recv_errors_total",
-		"Receive-side failures: decode errors and data-message handler errors.",
+		"Receive-side frame decode failures.",
 		func() float64 { return float64(m.recvErrors.Load()) })
 	m.batchTasks = reg.Histogram("vbs_transport_batch_tasks",
 		"Tasks per POST /tasks:batch request.",

@@ -5,16 +5,13 @@ import (
 	"fmt"
 )
 
-// Message kinds — the first payload byte of every data and req frame.
+// Message kinds — the first payload byte of every req frame.
 // The frame codec is oblivious to them; they are the application
 // envelope the daemons speak over a stream.
 const (
-	// MsgObjPut carries a content-addressed blob to store (data frame
-	// for pipelined replication; req frame when the sender needs the
-	// outcome, e.g. repair and rebalance copies).
+	// MsgObjPut carries a content-addressed blob to store: replica,
+	// repair and rebalance copies and gateway POST /vbs writes.
 	MsgObjPut byte = 0x01
-	// MsgPing is an empty health-check RPC.
-	MsgPing byte = 0x02
 	// MsgBatch is a JSON server.BatchRequest RPC; the resp body is a
 	// JSON server.BatchResponse.
 	MsgBatch byte = 0x03

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -27,11 +26,6 @@ const DefaultPath = "/stream"
 // Handlers processes decoded messages on the receiving end of a
 // stream.
 type Handlers struct {
-	// Data handles a fire-and-forget data message. The frame is acked
-	// whether or not Data errs — data messages are idempotent,
-	// convergence-repaired operations (blob puts), so an error is
-	// counted and logged, not retransmitted forever.
-	Data func(msg []byte) error
 	// Call handles an RPC message and returns the response payload
 	// (conventionally an EncodeResult envelope) plus whether it is
 	// already-compressed (raw).
@@ -39,9 +33,9 @@ type Handlers struct {
 }
 
 // Serve runs the receiving end of one upgraded connection until it
-// fails or the peer disconnects (which returns nil). Data frames are
-// processed in arrival order and acknowledged cumulatively; RPCs run
-// concurrently, their responses multiplexed by sequence number.
+// fails or the peer disconnects (which returns nil). RPCs run
+// concurrently, their responses multiplexed by sequence number; frames
+// of any other type are read and ignored.
 func Serve(conn net.Conn, h Handlers, cfg Config) error {
 	cfg = cfg.withDefaults()
 	cfg.Metrics.streamUp()
@@ -50,51 +44,30 @@ func Serve(conn net.Conn, h Handlers, cfg Config) error {
 	done := make(chan struct{})
 	defer close(done)
 	resps := make(chan Frame, cfg.Window)
-	var ackSeq atomic.Uint64
-	ackKick := make(chan struct{}, 1)
 
-	// Writer goroutine: acks coalesce (one cumulative ack per kick,
-	// always the latest sequence), responses flow through resps, and
-	// the buffered writer flushes only when both go idle — the
-	// receive-side half of batching.
-	writerDone := make(chan struct{})
+	// Writer goroutine: responses flow through resps, and the buffered
+	// writer flushes only when resps goes idle — the receive-side half
+	// of batching.
 	go func() {
-		defer close(writerDone)
 		bw := bufio.NewWriterSize(conn, 64<<10)
-		write := func(f Frame, raw bool) bool {
-			if raw {
-				f.Flags |= FlagRaw
-			}
-			n, compressed, err := WriteFrame(bw, f, cfg.Compress)
-			if err != nil {
-				return false
-			}
-			cfg.Metrics.sent(n, compressed)
-			return true
-		}
 		for {
 			select {
 			case f := <-resps:
-				if !write(f, f.Flags&FlagRaw != 0) {
+				n, compressed, err := WriteFrame(bw, f, cfg.Compress)
+				if err != nil {
 					return
 				}
-			case <-ackKick:
-				if !write(Frame{Type: FrameAck, Seq: ackSeq.Load()}, false) {
-					return
-				}
+				cfg.Metrics.sent(n, compressed)
 			case <-done:
 				return
 			}
-			if len(resps) == 0 && len(ackKick) == 0 {
-				if bw.Flush() != nil {
-					return
-				}
+			if len(resps) == 0 && bw.Flush() != nil {
+				return
 			}
 		}
 	}()
 
 	br := bufio.NewReaderSize(conn, 64<<10)
-	var maxData uint64
 	for {
 		f, n, err := ReadFrame(br, cfg.MaxPayload)
 		if err != nil {
@@ -105,44 +78,26 @@ func Serve(conn net.Conn, h Handlers, cfg Config) error {
 			return err
 		}
 		cfg.Metrics.received(n)
-		switch f.Type {
-		case FrameData:
-			if h.Data != nil {
-				if derr := h.Data(f.Payload); derr != nil {
-					cfg.Metrics.recvError()
-					cfg.Logf("transport: data frame seq %d: %v", f.Seq, derr)
-				}
-			}
-			// Cumulative ack: after a reconnect the sender replays from
-			// its lowest unacked frame, so sequences can arrive below
-			// the high-water mark — ack the max ever processed.
-			if f.Seq > maxData {
-				maxData = f.Seq
-			}
-			ackSeq.Store(maxData)
-			select {
-			case ackKick <- struct{}{}:
-			default:
-			}
-		case FrameReq:
-			go func(f Frame) {
-				var resp []byte
-				var raw bool
-				if h.Call != nil {
-					resp, raw = h.Call(f.Payload)
-				} else {
-					resp = EncodeResult(http.StatusNotImplemented, nil)
-				}
-				out := Frame{Type: FrameResp, Seq: f.Seq, Payload: resp}
-				if raw {
-					out.Flags = FlagRaw
-				}
-				select {
-				case resps <- out:
-				case <-done:
-				}
-			}(f)
+		if f.Type != FrameReq {
+			continue
 		}
+		go func(f Frame) {
+			var resp []byte
+			var raw bool
+			if h.Call != nil {
+				resp, raw = h.Call(f.Payload)
+			} else {
+				resp = EncodeResult(http.StatusNotImplemented, nil)
+			}
+			out := Frame{Type: FrameResp, Seq: f.Seq, Payload: resp}
+			if raw {
+				out.Flags = FlagRaw
+			}
+			select {
+			case resps <- out:
+			case <-done:
+			}
+		}(f)
 	}
 }
 

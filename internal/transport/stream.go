@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -19,17 +19,21 @@ var (
 	// request was written (or handed to the writer) but no response
 	// arrived — the connection broke, or the caller's ctx expired with
 	// the call on the wire. The receiver may or may not have processed
-	// it, so neither the stream nor its caller may blindly retransmit
-	// a non-idempotent request. Check with errors.Is: the ctx-expiry
-	// case wraps both this and the ctx error.
+	// it, so a caller may retry it only if the request is idempotent.
+	// Check with errors.Is: the ctx-expiry case wraps both this and
+	// the ctx error.
 	ErrDisconnected = errors.New("transport: call in flight with no response")
+	// ErrUnreachable fails an RPC that was never written: the stream
+	// had no live connection and the dial the call waited for failed.
+	// The peer never saw the request, so any caller may retry it or
+	// fail over. It wraps the dial error.
+	ErrUnreachable = errors.New("transport: peer unreachable")
 )
 
 // Config tunes a stream endpoint (either side).
 type Config struct {
-	// Window bounds in-flight work: unacked data frames plus
-	// outstanding RPCs (0 = 64). The enqueue queue holds up to twice
-	// the window before Send/Call block.
+	// Window bounds outstanding RPCs (0 = 64). The enqueue queue holds
+	// up to twice the window before Call blocks.
 	Window int
 	// MaxPayload bounds one frame's decoded payload
 	// (0 = DefaultMaxPayload).
@@ -38,8 +42,8 @@ type Config struct {
 	Compress bool
 	// DialTimeout bounds one dial attempt (0 = 5s).
 	DialTimeout time.Duration
-	// BackoffBase/BackoffMax shape the reconnect backoff
-	// (0 = 50ms / 3s).
+	// BackoffBase/BackoffMax shape the background redial backoff after
+	// a failed dial (0 = 50ms / 3s). A Call never waits it out.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// Metrics receives transport counters (nil = none).
@@ -73,14 +77,13 @@ func (c Config) withDefaults() Config {
 // Dialer opens one connection to the stream's peer.
 type Dialer func(ctx context.Context) (net.Conn, error)
 
-// pending is one enqueued frame awaiting write, ack, or response.
+// pending is one RPC awaiting write and response.
 type pending struct {
-	typ   byte
-	flags byte
-	seq   uint64
-	msg   []byte
-	done  func(error)    // data frames: fires on ack (nil) or stream close
-	resp  chan rpcResult // req frames: receives the response exactly once
+	flags   byte
+	seq     uint64
+	msg     []byte
+	written bool           // handed to the writer: the peer may see it
+	resp    chan rpcResult // receives the response exactly once
 }
 
 type rpcResult struct {
@@ -88,35 +91,36 @@ type rpcResult struct {
 	err     error
 }
 
-// Stream is the sending end of a persistent connection: callers
-// enqueue messages, a writer goroutine batches them onto the wire
-// (flushing when the queue idles), data frames are held until the
-// receiver's cumulative ack and retransmitted after a reconnect
-// (content-addressed puts are idempotent, so replays are safe), and
-// RPCs in flight across a disconnect fail with ErrDisconnected rather
-// than replaying.
+// Stream is the calling end of a persistent connection: callers
+// enqueue RPCs, a writer goroutine batches them onto the wire
+// (flushing when the queue idles), and responses match their calls by
+// sequence number. A call is never replayed: one in flight across a
+// disconnect fails with ErrDisconnected, and one queued while the
+// stream has no connection waits for the dial in flight (or starts one
+// at once) and fails with ErrUnreachable if that dial fails.
 type Stream struct {
 	dial   Dialer
 	cfg    Config
 	ctx    context.Context
 	cancel context.CancelFunc
+	// kick wakes the loop out of a redial backoff when a call is
+	// queued.
+	kick chan struct{}
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []*pending          // enqueued, not yet written on the live conn
-	unacked map[uint64]*pending // data frames written, awaiting cumulative ack
-	calls   map[uint64]*pending // req frames written, awaiting their resp
-	dataSeq uint64
-	reqSeq  uint64
-	closed  bool
-	broken  bool     // the live conn failed; writer must stop
-	conn    net.Conn // live conn, for Close to unblock the reader
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  []*pending          // enqueued, not yet written on the live conn
+	calls  map[uint64]*pending // written, awaiting their resp
+	seq    uint64
+	closed bool
+	broken bool     // the live conn failed; writer must stop
+	conn   net.Conn // live conn, for Close to unblock the reader
 
 	loopDone chan struct{}
 }
 
 // Open starts a stream over dial. The first connection is established
-// in the background; Send and Call may be used immediately.
+// in the background; Call may be used immediately.
 func Open(dial Dialer, cfg Config) *Stream {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Stream{
@@ -124,7 +128,7 @@ func Open(dial Dialer, cfg Config) *Stream {
 		cfg:      cfg.withDefaults(),
 		ctx:      ctx,
 		cancel:   cancel,
-		unacked:  make(map[uint64]*pending),
+		kick:     make(chan struct{}, 1),
 		calls:    make(map[uint64]*pending),
 		loopDone: make(chan struct{}),
 	}
@@ -133,63 +137,40 @@ func Open(dial Dialer, cfg Config) *Stream {
 	return s
 }
 
-// Send enqueues a fire-and-forget data message. raw marks an
-// already-compressed payload (shipped verbatim). done, when non-nil,
-// fires exactly once: with nil when the receiver acks the frame, or
-// with an error when the stream closes first. Send blocks only when
-// the queue is full, honoring ctx.
-func (s *Stream) Send(ctx context.Context, msg []byte, raw bool, done func(error)) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.waitSpaceLocked(ctx); err != nil {
-		return err
-	}
-	s.dataSeq++
-	p := &pending{typ: FrameData, seq: s.dataSeq, msg: msg, done: done}
-	if raw {
-		p.flags = FlagRaw
-	}
-	s.queue = append(s.queue, p)
-	s.cond.Broadcast()
-	return nil
-}
-
-// Call performs one RPC over the stream, honoring ctx. Concurrent
-// calls multiplex; responses match by sequence number.
+// Call performs one RPC over the stream, honoring ctx. raw marks an
+// already-compressed payload (shipped verbatim). Concurrent calls
+// multiplex; responses match by sequence number.
 func (s *Stream) Call(ctx context.Context, msg []byte, raw bool) ([]byte, error) {
 	s.mu.Lock()
 	if err := s.waitSpaceLocked(ctx); err != nil {
 		s.mu.Unlock()
 		return nil, err
 	}
-	s.reqSeq++
-	p := &pending{typ: FrameReq, seq: s.reqSeq, msg: msg, resp: make(chan rpcResult, 1)}
+	s.seq++
+	p := &pending{seq: s.seq, msg: msg, resp: make(chan rpcResult, 1)}
 	if raw {
 		p.flags = FlagRaw
 	}
 	s.queue = append(s.queue, p)
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	select {
+	case s.kick <- struct{}{}:
+	default: // a kick is already pending
+	}
 
 	select {
 	case r := <-p.resp:
 		return r.payload, r.err
 	case <-ctx.Done():
 		// Abandon the call: drop it wherever it sits so a late response
-		// is discarded and the window slot frees. Where it sat decides
-		// what the caller may do next — still queued means the request
-		// never reached the wire and a fallback retry is safe; gone
-		// from the queue means the writer took it (it is on the wire or
-		// about to be) and the peer may still execute it.
+		// is discarded and the window slot frees. Whether the writer
+		// took it decides what the caller may do next — never written
+		// means the peer never saw it; written means the peer may still
+		// execute it.
 		s.mu.Lock()
-		written := true
-		for i, q := range s.queue {
-			if q == p {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				written = false
-				break
-			}
-		}
+		written := p.written
+		s.queue = slices.DeleteFunc(s.queue, func(q *pending) bool { return q == p })
 		delete(s.calls, p.seq)
 		s.cond.Broadcast()
 		s.mu.Unlock()
@@ -231,36 +212,8 @@ func (s *Stream) waitSpaceLocked(ctx context.Context) error {
 	}
 }
 
-// Ping round-trips an empty RPC — the cheapest way to prove the
-// stream is live end to end.
-func (s *Stream) Ping(ctx context.Context) error {
-	resp, err := s.Call(ctx, []byte{MsgPing}, false)
-	if err != nil {
-		return err
-	}
-	status, _, err := DecodeResult(resp)
-	if err != nil {
-		return err
-	}
-	if status != 200 {
-		return errors.New("transport: ping rejected")
-	}
-	return nil
-}
-
-// Connected reports whether the stream currently holds a live
-// connection. Callers with a synchronous fallback path (the gateway's
-// HTTP scatter) consult it so work is never stranded on a stream whose
-// peer is cold, down, or does not speak the protocol at all.
-func (s *Stream) Connected() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.conn != nil && !s.broken && !s.closed
-}
-
-// Close shuts the stream down: the connection drops, queued and
-// unacked data frames fail their done callbacks with ErrClosed, and
-// in-flight RPCs return ErrClosed.
+// Close shuts the stream down: the connection drops and every queued
+// or in-flight RPC returns ErrClosed.
 func (s *Stream) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -276,22 +229,34 @@ func (s *Stream) Close() error {
 	return nil
 }
 
-// loop owns the connection lifecycle: dial with backoff, run the
-// connection until it breaks, requeue what must survive, repeat.
+// loop owns the connection lifecycle: dial, run the connection until
+// it breaks, repeat. A failed dial fails the calls that waited for it
+// and backs off before the next attempt, unless a new call cuts the
+// backoff short.
 func (s *Stream) loop() {
 	defer close(s.loopDone)
-	defer s.failAll(ErrClosed)
+	defer func() {
+		s.mu.Lock()
+		ps := append(s.takeQueuedLocked(), s.takeWrittenLocked()...)
+		s.mu.Unlock()
+		resolve(ps, ErrClosed)
+	}()
 	backoff := s.cfg.BackoffBase
 	connected := false
 	for {
-		if s.isClosed() {
-			return
-		}
 		dctx, cancel := context.WithTimeout(s.ctx, s.cfg.DialTimeout)
 		conn, err := s.dial(dctx)
 		cancel()
 		if err != nil {
 			s.cfg.Metrics.dialFail()
+			s.mu.Lock()
+			if s.closed {
+				s.mu.Unlock()
+				return
+			}
+			ps := s.takeQueuedLocked()
+			s.mu.Unlock()
+			resolve(ps, fmt.Errorf("%w: %w", ErrUnreachable, err))
 			if !s.sleep(backoff) {
 				return
 			}
@@ -320,32 +285,14 @@ func (s *Stream) loop() {
 		s.cfg.Metrics.streamDown()
 		conn.Close()
 
+		// Fail RPCs written but unanswered: replaying them is unsafe.
+		// Calls still queued wait for the redial that follows at once.
 		s.mu.Lock()
 		s.conn = nil
 		closed := s.closed
-		// Fail RPCs written but unanswered: replaying them is unsafe.
-		var failed []*pending
-		for seq, p := range s.calls {
-			delete(s.calls, seq)
-			failed = append(failed, p)
-		}
-		// Requeue unacked data frames ahead of the queue, in sequence
-		// order: the receiver processes duplicates idempotently, so
-		// retransmission is the durability path after a reconnect.
-		if len(s.unacked) > 0 {
-			resend := make([]*pending, 0, len(s.unacked))
-			for _, p := range s.unacked {
-				resend = append(resend, p)
-			}
-			sort.Slice(resend, func(a, b int) bool { return resend[a].seq < resend[b].seq })
-			clear(s.unacked)
-			s.queue = append(resend, s.queue...)
-		}
-		s.cond.Broadcast()
+		ps := s.takeWrittenLocked()
 		s.mu.Unlock()
-		for _, p := range failed {
-			p.resp <- rpcResult{err: ErrDisconnected}
-		}
+		resolve(ps, ErrDisconnected)
 		if closed {
 			return
 		}
@@ -353,8 +300,8 @@ func (s *Stream) loop() {
 }
 
 // runConn drives one live connection: a reader goroutine consumes
-// acks and responses while this goroutine writes frames, flushing the
-// buffered writer whenever the queue idles (send-side batching).
+// responses while this goroutine writes frames, flushing the buffered
+// writer whenever the queue idles (send-side batching).
 func (s *Stream) runConn(conn net.Conn) {
 	readerDone := make(chan struct{})
 	go func() {
@@ -377,7 +324,7 @@ func (s *Stream) runConn(conn net.Conn) {
 			needFlush = false
 			continue
 		}
-		n, compressed, err := WriteFrame(bw, Frame{Type: p.typ, Flags: p.flags, Seq: p.seq, Payload: p.msg}, s.cfg.Compress)
+		n, compressed, err := WriteFrame(bw, Frame{Type: FrameReq, Flags: p.flags, Seq: p.seq, Payload: p.msg}, s.cfg.Compress)
 		if err != nil {
 			s.markBroken()
 			break
@@ -394,7 +341,7 @@ func (s *Stream) runConn(conn net.Conn) {
 	<-readerDone
 }
 
-// nextFrame blocks until a frame is writable (queue non-empty and
+// nextFrame blocks until a call is writable (queue non-empty and
 // window open), returning (nil, true) when the caller should flush
 // instead (wantFlush set and nothing ready), and (nil, false) when
 // the connection or stream is done.
@@ -405,15 +352,11 @@ func (s *Stream) nextFrame(wantFlush bool) (*pending, bool) {
 		if s.closed || s.broken {
 			return nil, false
 		}
-		if len(s.queue) > 0 && len(s.unacked)+len(s.calls) < s.cfg.Window {
+		if len(s.queue) > 0 && len(s.calls) < s.cfg.Window {
 			p := s.queue[0]
 			s.queue = s.queue[1:]
-			switch p.typ {
-			case FrameData:
-				s.unacked[p.seq] = p
-			case FrameReq:
-				s.calls[p.seq] = p
-			}
+			p.written = true
+			s.calls[p.seq] = p
 			s.cond.Broadcast() // queue space freed
 			return p, true
 		}
@@ -424,7 +367,7 @@ func (s *Stream) nextFrame(wantFlush bool) (*pending, bool) {
 	}
 }
 
-// readLoop consumes ack and resp frames until the connection fails.
+// readLoop consumes resp frames until the connection fails.
 func (s *Stream) readLoop(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	for {
@@ -434,32 +377,16 @@ func (s *Stream) readLoop(conn net.Conn) {
 			return
 		}
 		s.cfg.Metrics.received(n)
-		switch f.Type {
-		case FrameAck:
-			var acked []*pending
-			s.mu.Lock()
-			for seq, p := range s.unacked {
-				if seq <= f.Seq {
-					delete(s.unacked, seq)
-					if p.done != nil {
-						acked = append(acked, p)
-					}
-				}
-			}
-			s.cond.Broadcast() // window slots freed
-			s.mu.Unlock()
-			for _, p := range acked {
-				p.done(nil)
-			}
-		case FrameResp:
-			s.mu.Lock()
-			p := s.calls[f.Seq]
-			delete(s.calls, f.Seq)
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			if p != nil {
-				p.resp <- rpcResult{payload: f.Payload}
-			}
+		if f.Type != FrameResp {
+			continue
+		}
+		s.mu.Lock()
+		p := s.calls[f.Seq]
+		delete(s.calls, f.Seq)
+		s.cond.Broadcast() // window slot freed
+		s.mu.Unlock()
+		if p != nil {
+			p.resp <- rpcResult{payload: f.Payload}
 		}
 	}
 }
@@ -471,53 +398,53 @@ func (s *Stream) markBroken() {
 	s.mu.Unlock()
 }
 
-func (s *Stream) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// sleep waits d or until the stream closes, reporting whether to keep
-// going.
+// sleep waits out the redial backoff d, returning true when it lapses
+// or a call is queued — a caller never waits out the backoff — and
+// false when the stream closes.
 func (s *Stream) sleep(d time.Duration) bool {
-	select {
-	case <-s.ctx.Done():
-		return false
-	case <-time.After(d):
-		return true
+	t := time.NewTimer(d)
+	defer t.Stop()
+	for {
+		select {
+		case <-s.ctx.Done():
+			return false
+		case <-t.C:
+			return true
+		case <-s.kick:
+			// A kick left over from a call the last connection served
+			// finds the queue empty; keep sleeping.
+			s.mu.Lock()
+			queued := len(s.queue) > 0
+			s.mu.Unlock()
+			if queued {
+				return true
+			}
+		}
 	}
 }
 
-// failAll resolves every pending frame with err — the stream is gone.
-func (s *Stream) failAll(err error) {
-	s.mu.Lock()
-	var data []*pending
-	var calls []*pending
-	for _, p := range s.queue {
-		switch p.typ {
-		case FrameData:
-			data = append(data, p)
-		case FrameReq:
-			calls = append(calls, p)
-		}
-	}
+// takeQueuedLocked empties the queue of unwritten calls.
+func (s *Stream) takeQueuedLocked() []*pending {
+	ps := s.queue
 	s.queue = nil
-	for seq, p := range s.unacked {
-		delete(s.unacked, seq)
-		data = append(data, p)
-	}
-	for seq, p := range s.calls {
-		delete(s.calls, seq)
-		calls = append(calls, p)
-	}
 	s.cond.Broadcast()
-	s.mu.Unlock()
-	for _, p := range data {
-		if p.done != nil {
-			p.done(err)
-		}
+	return ps
+}
+
+// takeWrittenLocked empties the set of written, unanswered calls.
+func (s *Stream) takeWrittenLocked() []*pending {
+	ps := make([]*pending, 0, len(s.calls))
+	for _, p := range s.calls {
+		ps = append(ps, p)
 	}
-	for _, p := range calls {
+	clear(s.calls)
+	s.cond.Broadcast()
+	return ps
+}
+
+// resolve fails each call with err.
+func resolve(ps []*pending, err error) {
+	for _, p := range ps {
 		p.resp <- rpcResult{err: err}
 	}
 }

@@ -90,45 +90,6 @@ func testConfig() Config {
 	}
 }
 
-// TestStreamSendAck proves the data path end to end: every sent
-// message arrives intact and every done callback fires on ack.
-func TestStreamSendAck(t *testing.T) {
-	var mu sync.Mutex
-	got := map[string]int{}
-	srv := newEchoServer(t, Handlers{
-		Data: func(msg []byte) error {
-			mu.Lock()
-			got[string(msg)]++
-			mu.Unlock()
-			return nil
-		},
-	}, testConfig())
-
-	st := Open(tcpDialer(srv.addr()), testConfig())
-	defer st.Close()
-
-	const n = 100
-	var acked atomic.Int64
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for i := 0; i < n; i++ {
-		msg := []byte{byte(i), byte(i >> 8), 'm'}
-		if err := st.Send(ctx, msg, i%2 == 0, func(err error) {
-			if err == nil {
-				acked.Add(1)
-			}
-		}); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-	waitFor(t, 5*time.Second, func() bool { return acked.Load() == n })
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != n {
-		t.Fatalf("receiver saw %d distinct messages, want %d", len(got), n)
-	}
-}
-
 // TestStreamCall proves RPC multiplexing: concurrent calls get their
 // own responses back.
 func TestStreamCall(t *testing.T) {
@@ -170,61 +131,6 @@ func TestStreamCall(t *testing.T) {
 	}
 }
 
-// TestStreamReconnectResends is the healing property the chaos
-// nodekill recipe depends on: sever the connection mid-stream and
-// every unacked data frame must be retransmitted and acked after the
-// automatic reconnect.
-func TestStreamReconnectResends(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[string]bool{}
-	srv := newEchoServer(t, Handlers{
-		Data: func(msg []byte) error {
-			mu.Lock()
-			seen[string(msg)] = true
-			mu.Unlock()
-			return nil
-		},
-	}, testConfig())
-
-	m := &Metrics{}
-	cfg := testConfig()
-	cfg.Metrics = m
-	st := Open(tcpDialer(srv.addr()), cfg)
-	defer st.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	var acked atomic.Int64
-	send := func(tag byte, n int) {
-		for i := 0; i < n; i++ {
-			msg := []byte{tag, byte(i), byte(i >> 8)}
-			if err := st.Send(ctx, msg, false, func(err error) {
-				if err == nil {
-					acked.Add(1)
-				}
-			}); err != nil {
-				t.Fatalf("send: %v", err)
-			}
-		}
-	}
-
-	send('a', 20)
-	waitFor(t, 5*time.Second, func() bool { return acked.Load() >= 10 })
-	srv.dropConns() // mid-stream kill
-	send('b', 20)   // enqueued while down or reconnecting
-	waitFor(t, 10*time.Second, func() bool { return acked.Load() == 40 })
-
-	mu.Lock()
-	total := len(seen)
-	mu.Unlock()
-	if total != 40 {
-		t.Fatalf("receiver saw %d distinct messages, want 40", total)
-	}
-	if m.reconnects.Load() == 0 {
-		t.Fatal("no reconnect recorded after severed connection")
-	}
-}
-
 // TestStreamCallDisconnected pins the non-idempotence contract: an
 // RPC in flight across a disconnect fails with ErrDisconnected
 // instead of silently replaying.
@@ -246,7 +152,7 @@ func TestStreamCallDisconnected(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := st.Call(ctx, []byte{MsgPing}, false)
+		_, err := st.Call(ctx, []byte("call"), false)
 		done <- err
 	}()
 	// Wait until the request reaches the (blocked) handler, then cut.
@@ -265,14 +171,16 @@ func TestStreamCallDisconnected(t *testing.T) {
 // TestStreamCallExpiredInFlight pins the other half of the
 // non-idempotence contract: when the caller's ctx expires after the
 // request reached the wire but before a response, the error must mark
-// the outcome unknown (ErrDisconnected) so callers with an HTTP
-// fallback do not replay the request — on top of the ctx error itself.
+// the outcome unknown (ErrDisconnected) so callers do not replay a
+// non-idempotent request — on top of the ctx error itself.
 func TestStreamCallExpiredInFlight(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 	srv := newEchoServer(t, Handlers{
 		Call: func(msg []byte) ([]byte, bool) {
-			<-block // hold the RPC open past the caller's deadline
+			if string(msg) == "hold" {
+				<-block // hold the RPC open past the caller's deadline
+			}
 			return EncodeResult(200, nil), false
 		},
 	}, testConfig())
@@ -280,12 +188,16 @@ func TestStreamCallExpiredInFlight(t *testing.T) {
 	st := Open(tcpDialer(srv.addr()), testConfig())
 	defer st.Close()
 
-	// Make sure the connection is up so the request is actually written.
-	waitFor(t, 5*time.Second, st.Connected)
+	// A first call brings the connection up so the next is written.
+	warm, cancelWarm := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelWarm()
+	if _, err := st.Call(warm, []byte("warm"), false); err != nil {
+		t.Fatal(err)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
-	_, err := st.Call(ctx, []byte{MsgPing}, false)
+	_, err := st.Call(ctx, []byte("hold"), false)
 	if !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("got %v, want ErrDisconnected for an in-flight expiry", err)
 	}
@@ -297,7 +209,7 @@ func TestStreamCallExpiredInFlight(t *testing.T) {
 // TestStreamCallExpiredQueued is the safe counterpart: a call whose
 // ctx expires while it still sits in the queue (the stream never
 // connected) was never written, so the error must NOT carry
-// ErrDisconnected — a fallback retry is allowed.
+// ErrDisconnected — a retry is allowed.
 func TestStreamCallExpiredQueued(t *testing.T) {
 	// A dialer that never connects keeps everything queued.
 	st := Open(func(ctx context.Context) (net.Conn, error) {
@@ -308,7 +220,7 @@ func TestStreamCallExpiredQueued(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, err := st.Call(ctx, []byte{MsgPing}, false)
+	_, err := st.Call(ctx, []byte("call"), false)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want DeadlineExceeded", err)
 	}
@@ -317,35 +229,25 @@ func TestStreamCallExpiredQueued(t *testing.T) {
 	}
 }
 
-// TestStreamCloseFailsPending ensures Close resolves everything.
+// TestStreamCloseFailsPending ensures Close resolves a queued call and
+// refuses later ones.
 func TestStreamCloseFailsPending(t *testing.T) {
-	// A dialer that never connects: everything stays queued.
+	// A dialer that never connects: the call stays queued.
 	st := Open(func(ctx context.Context) (net.Conn, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}, testConfig())
 
 	ctx := context.Background()
-	var failed atomic.Int64
-	for i := 0; i < 5; i++ {
-		if err := st.Send(ctx, []byte{byte(i)}, false, func(err error) {
-			if err != nil {
-				failed.Add(1)
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	callErr := make(chan error, 1)
 	go func() {
-		_, err := st.Call(ctx, []byte{MsgPing}, false)
+		_, err := st.Call(ctx, []byte("call"), false)
 		callErr <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool { return failed.Load() == 5 })
 	select {
 	case err := <-callErr:
 		if !errors.Is(err, ErrClosed) {
@@ -354,15 +256,104 @@ func TestStreamCloseFailsPending(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("pending call not failed by Close")
 	}
-	if err := st.Send(ctx, []byte("late"), false, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("send after close: got %v, want ErrClosed", err)
+	if _, err := st.Call(ctx, []byte("late"), false); !errors.Is(err, ErrClosed) {
+		t.Fatalf("call after close: got %v, want ErrClosed", err)
+	}
+}
+
+// TestStreamCallWaitsForFirstDial: a call made the moment a stream
+// opens waits for the first dial instead of failing.
+func TestStreamCallWaitsForFirstDial(t *testing.T) {
+	srv := newEchoServer(t, Handlers{
+		Call: func(msg []byte) ([]byte, bool) { return EncodeResult(200, msg), false },
+	}, testConfig())
+	st := Open(tcpDialer(srv.addr()), testConfig())
+	defer st.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	resp, err := st.Call(ctx, []byte("first"), false)
+	if err != nil {
+		t.Fatalf("call on a fresh stream: %v", err)
+	}
+	if status, body, err := DecodeResult(resp); err != nil || status != 200 || string(body) != "first" {
+		t.Fatalf("response: status %d body %q err %v", status, body, err)
+	}
+}
+
+// closedAddr returns a loopback address nothing listens on.
+func closedAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
+}
+
+// TestStreamCallUnreachable: a call to a peer whose listener is gone
+// fails with ErrUnreachable after one refused dial — well inside its
+// ctx, and never marked as possibly delivered.
+func TestStreamCallUnreachable(t *testing.T) {
+	st := Open(tcpDialer(closedAddr(t)), testConfig())
+	defer st.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	begin := time.Now()
+	_, err := st.Call(ctx, []byte("call"), false)
+	if !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("got %v, want ErrUnreachable", err)
+	}
+	if errors.Is(err, ErrDisconnected) {
+		t.Fatalf("never-written call marked in flight: %v", err)
+	}
+	if took := time.Since(begin); took > 2*time.Second {
+		t.Fatalf("unreachable call took %v, want one refused dial", took)
+	}
+}
+
+// TestStreamCallSkipsBackoff: after several failed dials have grown
+// the redial backoff to seconds, a call to the restarted peer dials at
+// once instead of waiting the backoff out.
+func TestStreamCallSkipsBackoff(t *testing.T) {
+	var target atomic.Value
+	target.Store(closedAddr(t))
+	cfg := testConfig()
+	cfg.BackoffBase = 2 * time.Second
+	cfg.BackoffMax = 30 * time.Second
+	st := Open(func(ctx context.Context) (net.Conn, error) {
+		return tcpDialer(target.Load().(string))(ctx)
+	}, cfg)
+	defer st.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < 3; i++ {
+		if _, err := st.Call(ctx, []byte("down"), false); !errors.Is(err, ErrUnreachable) {
+			t.Fatalf("call %d to a down peer: got %v, want ErrUnreachable", i, err)
+		}
+	}
+
+	srv := newEchoServer(t, Handlers{
+		Call: func(msg []byte) ([]byte, bool) { return EncodeResult(200, nil), false },
+	}, testConfig())
+	target.Store(srv.addr())
+	begin := time.Now()
+	if _, err := st.Call(ctx, []byte("up"), false); err != nil {
+		t.Fatalf("call after the peer restarted: %v", err)
+	}
+	if took := time.Since(begin); took > time.Second {
+		t.Fatalf("call after restart took %v, want an immediate dial (backoff now >= 8s)", took)
 	}
 }
 
 // TestUpgradeHandshake drives Dial against a real HTTP server that
 // hijacks into Serve — the exact path the daemons use.
 func TestUpgradeHandshake(t *testing.T) {
-	var pings atomic.Int64
+	var calls atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+DefaultPath, func(w http.ResponseWriter, r *http.Request) {
 		conn, err := Upgrade(w, r)
@@ -372,11 +363,8 @@ func TestUpgradeHandshake(t *testing.T) {
 		defer conn.Close()
 		_ = Serve(conn, Handlers{
 			Call: func(msg []byte) ([]byte, bool) {
-				if MsgKind(msg) == MsgPing {
-					pings.Add(1)
-					return EncodeResult(200, nil), false
-				}
-				return EncodeResult(http.StatusBadRequest, nil), false
+				calls.Add(1)
+				return EncodeResult(200, msg), false
 			},
 		}, testConfig())
 	})
@@ -390,11 +378,15 @@ func TestUpgradeHandshake(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := st.Ping(ctx); err != nil {
-		t.Fatalf("ping over upgraded stream: %v", err)
+	reply, err := st.Call(ctx, []byte("hello"), false)
+	if err != nil {
+		t.Fatalf("call over upgraded stream: %v", err)
 	}
-	if pings.Load() != 1 {
-		t.Fatalf("server saw %d pings, want 1", pings.Load())
+	if status, body, err := DecodeResult(reply); err != nil || status != 200 || string(body) != "hello" {
+		t.Fatalf("response: status %d body %q err %v", status, body, err)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("server saw %d calls, want 1", calls.Load())
 	}
 
 	// A plain GET without the Upgrade header must be refused cleanly.
@@ -405,16 +397,5 @@ func TestUpgradeHandshake(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUpgradeRequired {
 		t.Fatalf("plain GET got %d, want 426", resp.StatusCode)
-	}
-}
-
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not met in time")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
